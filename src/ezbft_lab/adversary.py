@@ -15,7 +15,7 @@ from typing import Any, Mapping, Sequence
 
 from . import client as client_mod
 from . import owner_change, replica
-from .core import Config, InstanceId, OrderingTuple
+from .core import Config, InstanceId, OrderingTuple, json_field, json_strings
 from .messages import (
     ClientRequest,
     Commit,
@@ -83,11 +83,15 @@ class ByzantineChoice:
 
     @staticmethod
     def from_json(data: Mapping[str, Any]) -> "ByzantineChoice":
+        instance = json_field(data, "instance", str, optional=True)
         return ByzantineChoice(
-            kind=data["kind"],
-            item=data.get("item"),
-            instance=InstanceId.parse(data["instance"]) if data.get("instance") else None,
-            branches=tuple(OrderingTuple.from_json(t) for t in data.get("branches", [])),
+            kind=json_field(data, "kind", str),
+            item=json_field(data, "item", int, optional=True),
+            instance=InstanceId.parse(instance) if instance else None,
+            branches=tuple(
+                OrderingTuple.from_json(t)
+                for t in json_field(data, "branches", list, optional=True) or []
+            ),
         )
 
 
@@ -122,11 +126,14 @@ class FaultyClientChoice:
     @staticmethod
     def from_json(data: Mapping[str, Any]) -> "FaultyClientChoice":
         return FaultyClientChoice(
-            kind=data["kind"],
-            command_id=data.get("command_id"),
+            kind=json_field(data, "kind", str),
+            command_id=json_field(data, "command_id", str, optional=True),
             certificates=tuple(
-                (certificate_from_json(e["certificate"]), tuple(e["recipients"]))
-                for e in data.get("certificates", [])
+                (
+                    certificate_from_json(json_field(e, "certificate", dict)),
+                    tuple(json_strings(e, "recipients")),
+                )
+                for e in json_field(data, "certificates", list, optional=True) or []
             ),
         )
 
@@ -138,7 +145,7 @@ def choice_to_json(choice: ByzantineChoice | FaultyClientChoice) -> dict[str, An
 
 
 def choice_from_json(data: Mapping[str, Any]) -> ByzantineChoice | FaultyClientChoice:
-    if data["role"] == "byzantine":
+    if json_field(data, "role", str) == "byzantine":
         return ByzantineChoice.from_json(data)
     return FaultyClientChoice.from_json(data)
 

@@ -107,12 +107,12 @@ class Observations:
             emitted.add(f"{item.client}#{count}")
         for record in trace.records:
             seq_no = record["seq_no"]
-            for env in record.get("emitted", []):
+            for env in record.get("emitted") or []:
                 emitted.add(env["id"])
-            event = record.get("event", {})
+            event = record.get("event") or {}
             if event.get("kind") == "deliver":
                 delivered.add(event["message"])
-            for eff in record.get("effects", []):
+            for eff in record.get("effects") or []:
                 if eff.get("type") == "commit":
                     commits.append({**eff, "seq_no": seq_no})
                 elif eff.get("type") == "selection":

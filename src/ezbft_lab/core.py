@@ -13,6 +13,34 @@ class MissingDependency(Exception):
     """A dependency cites an instance that is absent from the known map."""
 
 
+def typed(value: Any, kind: type, what: str) -> Any:
+    """``value`` when it is a ``kind`` (a bool never counts as an int),
+    else a TypeError naming ``what``. Loaders of parsed JSON use it so
+    that malformed input fails at load time, not in the middle of a run."""
+    if isinstance(value, kind) and type(value) is not bool:
+        return value
+    raise TypeError(f"{what} must be {kind.__name__}, got {type(value).__name__}")
+
+
+def json_field(data: Any, key: str, kind: type, optional: bool = False) -> Any:
+    """``data[key]`` of a parsed JSON object, checked by ``typed``. An
+    optional field may be absent or null and then reads as None; a
+    required one raises KeyError when absent."""
+    if not isinstance(data, dict):
+        raise TypeError(f"expected an object holding {key!r}, got {type(data).__name__}")
+    value = data.get(key)
+    if value is None and optional:
+        return None
+    if value is None and key not in data:
+        raise KeyError(key)
+    return typed(value, kind, f"field {key!r}")
+
+
+def json_strings(data: Any, key: str) -> list[str]:
+    """A required list-of-strings field."""
+    return [typed(item, str, f"an item of {key!r}") for item in json_field(data, key, list)]
+
+
 @dataclass(frozen=True, order=True)
 class InstanceId:
     """A slot in one replica's instance space, written ``owner.slot``."""
@@ -25,7 +53,7 @@ class InstanceId:
 
     @classmethod
     def parse(cls, text: str) -> "InstanceId":
-        owner, _, slot = text.rpartition(".")
+        owner, _, slot = typed(text, str, "an instance id").rpartition(".")
         if not owner:
             raise ValueError(f"malformed instance id: {text!r}")
         return cls(owner, int(slot))
@@ -45,7 +73,7 @@ class Command:
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "Command":
-        return cls(data["id"], data["client"], data["key"], data["payload"])
+        return cls(*(json_field(data, name, str) for name in ("id", "client", "key", "payload")))
 
 
 @dataclass(frozen=True)
@@ -71,9 +99,9 @@ class OrderingTuple:
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "OrderingTuple":
         return cls(
-            Command.from_json(data["command"]),
-            frozenset(InstanceId.parse(d) for d in data["deps"]),
-            data["seq"],
+            Command.from_json(json_field(data, "command", dict)),
+            frozenset(InstanceId.parse(d) for d in json_strings(data, "deps")),
+            json_field(data, "seq", int),
         )
 
 
@@ -141,11 +169,11 @@ class Config:
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "Config":
         return cls(
-            data["n"],
-            data["f"],
-            tuple(data["replica_ids"]),
-            frozenset(data["byzantine_ids"]),
-            frozenset(data["faulty_client_ids"]),
+            json_field(data, "n", int),
+            json_field(data, "f", int),
+            tuple(json_strings(data, "replica_ids")),
+            frozenset(json_strings(data, "byzantine_ids")),
+            frozenset(json_strings(data, "faulty_client_ids")),
         )
 
 

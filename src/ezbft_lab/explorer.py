@@ -39,7 +39,6 @@ from .core import (
     InstanceId,
     OrderingTuple,
     canonical_json,
-    digest,
     interferes,
     tuple_sort_key,
     tuples_equal,
@@ -526,7 +525,7 @@ def _acted_clients(cfg: Config, events: tuple[Event, ...]) -> frozenset[str]:
 
 
 def _state_key(sim: Sim, acted: frozenset[str]) -> str:
-    return digest(canonical_json(sim.dedup_json())) + "|" + ",".join(sorted(acted))
+    return sim.fingerprint() + "|" + ",".join(sorted(acted))
 
 
 def explore(

@@ -8,9 +8,10 @@ Faulty nodes may say arbitrary things but never as somebody else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from functools import partial
+from typing import Any, Callable, Mapping
 
-from .core import Command, InstanceId, OrderingTuple, OwnerNumber
+from .core import Command, InstanceId, OrderingTuple, OwnerNumber, json_field
 
 
 @dataclass(frozen=True)
@@ -256,65 +257,74 @@ def certificate_to_json(c: CommitCertificate) -> dict[str, Any]:
     return {"cert_kind": c.cert_kind, "replies": [payload_to_json(r) for r in c.replies]}
 
 
+def _payload_of(kind: type, data: Any) -> Any:
+    """A nested payload that must be of one class."""
+    payload = payload_from_json(data)
+    if not isinstance(payload, kind):
+        raise TypeError(f"expected a {kind.kind} payload, got {payload.kind}")
+    return payload
+
+
 def certificate_from_json(data: Mapping[str, Any]) -> CommitCertificate:
-    return CommitCertificate(
-        data["cert_kind"], tuple(payload_from_json(r) for r in data["replies"])
-    )
+    replies = tuple(_payload_of(SpecReply, r) for r in json_field(data, "replies", list))
+    if not replies:
+        raise ValueError("a certificate packages at least one spec reply")
+    return CommitCertificate(json_field(data, "cert_kind", str), replies)
 
 
 def payload_from_json(data: Mapping[str, Any]) -> Payload:
-    kind = data["kind"]
+    kind = json_field(data, "kind", str)
+
+    def text(key: str) -> str:
+        return json_field(data, key, str)
+
+    def number(key: str) -> int:
+        return json_field(data, key, int)
+
+    def nested(key: str, load: Callable[[Any], Any], optional: bool = False) -> Any:
+        value = json_field(data, key, dict, optional)
+        return None if value is None else load(value)
+
+    def instance() -> InstanceId:
+        return InstanceId.parse(text("instance"))
+
+    def tuple_() -> OrderingTuple:
+        return nested("tuple", OrderingTuple.from_json)
+
     if kind == "request":
-        return ClientRequest(data["client"], Command.from_json(data["command"]))
+        return ClientRequest(text("client"), nested("command", Command.from_json))
     if kind == "spec_order":
-        return SpecOrder(
-            InstanceId.parse(data["instance"]),
-            OrderingTuple.from_json(data["tuple"]),
-            data["owner_number"],
-            data["client"],
-        )
+        return SpecOrder(instance(), tuple_(), number("owner_number"), text("client"))
     if kind == "spec_reply":
         return SpecReply(
-            data["sender"],
-            data["client"],
-            InstanceId.parse(data["instance"]),
-            OrderingTuple.from_json(data["tuple"]),
-            data["owner_number"],
-            data.get("result", ""),
+            text("sender"),
+            text("client"),
+            instance(),
+            tuple_(),
+            number("owner_number"),
+            json_field(data, "result", str, optional=True) or "",
         )
     if kind == "commit_fast":
-        return CommitFast(
-            InstanceId.parse(data["instance"]), certificate_from_json(data["certificate"])
-        )
+        return CommitFast(instance(), nested("certificate", certificate_from_json))
     if kind == "commit":
-        return Commit(
-            InstanceId.parse(data["instance"]),
-            OrderingTuple.from_json(data["tuple"]),
-            certificate_from_json(data["certificate"]),
-        )
+        return Commit(instance(), tuple_(), nested("certificate", certificate_from_json))
     if kind == "commit_reply":
-        return CommitReply(
-            data["sender"],
-            data["client"],
-            InstanceId.parse(data["instance"]),
-            OrderingTuple.from_json(data["tuple"]),
-            data["result"],
-        )
+        return CommitReply(text("sender"), text("client"), instance(), tuple_(), text("result"))
     if kind == "owner_change":
         return OwnerChangeVote(
-            data["sender"],
-            InstanceId.parse(data["instance"]),
-            data["owner_number"],
-            OrderingTuple.from_json(data["accepted_tuple"]) if data.get("accepted_tuple") else None,
-            payload_from_json(data["spec_reply"]) if data.get("spec_reply") else None,
-            certificate_from_json(data["certificate"]) if data.get("certificate") else None,
+            text("sender"),
+            instance(),
+            number("owner_number"),
+            nested("accepted_tuple", OrderingTuple.from_json, optional=True),
+            nested("spec_reply", partial(_payload_of, SpecReply), optional=True),
+            nested("certificate", certificate_from_json, optional=True),
         )
     if kind == "new_owner":
         return NewOwner(
-            InstanceId.parse(data["instance"]),
-            OrderingTuple.from_json(data["tuple"]),
-            data["owner_number"],
-            tuple(payload_from_json(v) for v in data["proof"]),
+            instance(),
+            tuple_(),
+            number("owner_number"),
+            tuple(_payload_of(OwnerChangeVote, v) for v in json_field(data, "proof", list)),
         )
     raise ValueError(f"unknown payload kind {kind!r}")
 
@@ -328,8 +338,3 @@ def envelope_to_json(e: Envelope) -> dict[str, Any]:
         "payload": payload_to_json(e.payload),
     }
 
-
-def envelope_from_json(data: Mapping[str, Any]) -> Envelope:
-    return Envelope(
-        data["id"], data["sender"], data["recipient"], payload_from_json(data["payload"]), data["hop"]
-    )

@@ -15,7 +15,7 @@ from typing import Any, Iterable, Sequence
 
 from .core import Config, InstanceId, OrderingTuple, OwnerNumber, tuple_sort_key, tuples_equal
 from .messages import CommitReply, NewOwner, OwnerChangeVote, SpecReply
-from .replica import Effect, Output, ReplicaState, commit_record, result_for
+from .replica import Effect, Output, ReplicaState, _commit, _drop, result_for
 
 SAFE = "safe"
 CONFLICT = "conflict"
@@ -283,13 +283,10 @@ def on_new_owner(
             "owner_number": msg.owner_number,
         }
     ]
-    effects += commit_record(
+    effects += _commit(
         state, cfg, msg.instance, msg.tuple, msg.owner_number, "new_owner", keep_cert
     )
     cmd = msg.tuple.command
     reply = CommitReply(state.id, cmd.client, msg.instance, msg.tuple, result_for(state, cmd))
     return [(cmd.client, reply)], effects
 
-
-def _drop(replica: str, reason: str, instance: InstanceId) -> Effect:
-    return {"type": "drop", "node": replica, "reason": reason, "instance": str(instance)}

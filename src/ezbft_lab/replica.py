@@ -257,19 +257,6 @@ def on_commit(
     return [(cmd.client, reply)], effects
 
 
-def commit_record(
-    state: ReplicaState,
-    cfg: Config,
-    instance: InstanceId,
-    t: OrderingTuple,
-    number: OwnerNumber,
-    via: str,
-    certificate: CommitCertificate | None,
-) -> list[Effect]:
-    """Store a committed record (exposed for the owner-change module)."""
-    return _commit(state, cfg, instance, t, number, via, certificate)
-
-
 def _commit(
     state: ReplicaState,
     cfg: Config,

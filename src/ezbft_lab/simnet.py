@@ -18,14 +18,26 @@ Delivery semantics by recipient:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+import hashlib
+import json
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Any, Iterator, Mapping
 
 from . import adversary as adversary_mod
 from . import client as client_mod
 from . import owner_change
 from .client import ClientState
-from .core import Command, Config, InstanceId, canonical_json, digest
+from .core import (
+    Command,
+    Config,
+    InstanceId,
+    OrderingTuple,
+    canonical_json,
+    digest,
+    json_field,
+    json_strings,
+)
 from .messages import (
     ClientRequest,
     CommitReply,
@@ -63,7 +75,11 @@ class WorkItem:
 
     @staticmethod
     def from_json(data: Mapping[str, Any]) -> "WorkItem":
-        return WorkItem(data["client"], Command.from_json(data["command"]), data["target"])
+        return WorkItem(
+            json_field(data, "client", str),
+            Command.from_json(json_field(data, "command", dict)),
+            json_field(data, "target", str),
+        )
 
 
 @dataclass(frozen=True)
@@ -108,16 +124,21 @@ class Event:
 
     @staticmethod
     def from_json(data: Mapping[str, Any]) -> "Event":
+        def text(key: str) -> str | None:
+            return json_field(data, key, str, optional=True)
+
+        instance = text("instance")
+        choice = json_field(data, "choice", dict, optional=True)
         return Event(
-            kind=data["kind"],
-            message=data.get("message"),
-            client=data.get("client"),
-            command=data.get("command"),
-            replica=data.get("replica"),
-            instance=InstanceId.parse(data["instance"]) if data.get("instance") else None,
-            node=data.get("node"),
-            choice=adversary_mod.choice_from_json(data["choice"]) if data.get("choice") else None,
-            note=data.get("note", ""),
+            kind=json_field(data, "kind", str),
+            message=text("message"),
+            client=text("client"),
+            command=text("command"),
+            replica=text("replica"),
+            instance=InstanceId.parse(instance) if instance else None,
+            node=text("node"),
+            choice=adversary_mod.choice_from_json(choice) if choice else None,
+            note=text("note") or "",
         )
 
 
@@ -142,13 +163,18 @@ class Schedule:
 
     @staticmethod
     def from_json(data: Mapping[str, Any]) -> "Schedule":
-        return Schedule(
-            config=Config.from_json(data["config"]),
-            workload=tuple(WorkItem.from_json(w) for w in data["workload"]),
-            events=tuple(Event.from_json(e) for e in data["events"]),
-            tail_start=data.get("tail_start"),
-            seq_mode=data.get("seq_mode", client_mod.SEQ_MODE_MAX),
-        )
+        """Raises ScheduleError when a field is missing or ill-typed."""
+        with _malformed("schedule"):
+            seq_mode = json_field(data, "seq_mode", str, optional=True) or client_mod.SEQ_MODE_MAX
+            if seq_mode not in (client_mod.SEQ_MODE_MAX, client_mod.SEQ_MODE_RECOMPUTE):
+                raise ValueError(f"unknown seq mode {seq_mode!r}")
+            return Schedule(
+                config=Config.from_json(json_field(data, "config", dict)),
+                workload=tuple(WorkItem.from_json(w) for w in json_field(data, "workload", list)),
+                events=tuple(Event.from_json(e) for e in json_field(data, "events", list)),
+                tail_start=json_field(data, "tail_start", int, optional=True),
+                seq_mode=seq_mode,
+            )
 
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -156,8 +182,6 @@ class Schedule:
 
     @staticmethod
     def read(path: str) -> "Schedule":
-        import json
-
         with open(path, "r", encoding="utf-8") as fh:
             return Schedule.from_json(json.load(fh))
 
@@ -182,15 +206,61 @@ class Trace:
 
     @staticmethod
     def read(path: str) -> "Trace":
-        import json
-
+        """Raises ScheduleError when the header or a record misses a field
+        the checkers read, or holds it with the wrong type."""
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln for ln in fh.read().splitlines() if ln.strip()]
         if not lines:
             raise ScheduleError("empty trace file")
-        head = json.loads(lines[0])
-        schedule = Schedule.from_json(head["schedule"])
-        return Trace(schedule, [json.loads(ln) for ln in lines[1:]])
+        with _malformed("trace"):
+            schedule = Schedule.from_json(json_field(json.loads(lines[0]), "schedule", dict))
+            records = [json.loads(ln) for ln in lines[1:]]
+            for record in records:
+                _check_record(record)
+        return Trace(schedule, records)
+
+
+@contextmanager
+def _malformed(what: str) -> Iterator[None]:
+    """Report a missing or ill-typed field as a ScheduleError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ScheduleError(f"malformed {what}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ScheduleError(f"malformed {what}: {exc}") from exc
+
+
+def _check_record(record: Any) -> None:
+    """Type-check the trace record fields that observations and checkers
+    read: seq number, emitted ids, delivered message, and the commit,
+    selection and execute effects."""
+    json_field(record, "seq_no", int)
+    for env in json_field(record, "emitted", list, optional=True) or []:
+        json_field(env, "id", str)
+    event = json_field(record, "event", dict, optional=True) or {}
+    if json_field(event, "kind", str, optional=True) == DELIVER:
+        json_field(event, "message", str)
+    for eff in json_field(record, "effects", list, optional=True) or []:
+        kind = json_field(eff, "type", str, optional=True)
+        if kind == "commit":
+            for key in ("replica", "instance", "via"):
+                json_field(eff, key, str)
+            json_field(eff, "owner_number", int)
+            OrderingTuple.from_json(json_field(eff, "tuple", dict))
+        elif kind == "selection":
+            for key in ("leader", "instance"):
+                json_field(eff, key, str)
+            json_field(eff, "owner_number", int)
+            # A conflict names both certified tuples; other outcomes may not.
+            conflict = json_field(eff, "outcome", str) == "conflict"
+            for key in ("tuple", "second"):
+                value = json_field(eff, key, dict, optional=not conflict)
+                if value is not None:
+                    OrderingTuple.from_json(value)
+        elif kind == "execute":
+            json_field(eff, "replica", str)
+            json_strings(eff, "order")
 
 
 class Sim:
@@ -198,6 +268,14 @@ class Sim:
 
     The constructor seeds one pending request envelope per workload item
     (hop 0); nothing else happens until events are applied.
+
+    Nodes are copy-on-write: ``clone`` shares every replica and client
+    state, and ``apply`` copies the one node an event mutates the first
+    time it touches it after a clone. Node state therefore changes only
+    inside ``apply``. Each node's canonical projection and trace digest
+    are cached until the node changes, and each pending envelope's dedup
+    token is computed once, so ``fingerprint`` and ``node_digests`` redo
+    work only for what an event touched.
     """
 
     def __init__(
@@ -213,8 +291,8 @@ class Sim:
         self.seq_mode = seq_mode
         self.replicas: dict[str, ReplicaState] = {r: ReplicaState(r) for r in cfg.replica_ids}
         self.clients: dict[str, ClientState] = {}
-        self.envelopes: dict[str, Envelope] = {}
-        self.delivered: set[str] = set()
+        # Undelivered envelopes in emission order.
+        self._pending: dict[str, Envelope] = {}
         self.counters: dict[str, int] = {}
         self.inboxes: dict[str, list[tuple[str, Any]]] = {b: [] for b in sorted(cfg.byzantine_ids)}
         self.consumed: dict[str, set[int]] = {b: set() for b in sorted(cfg.byzantine_ids)}
@@ -224,31 +302,61 @@ class Sim:
         # Cheap observation logs kept even with tracing off.
         self.commit_log: list[dict[str, Any]] = []
         self.selection_log: list[dict[str, Any]] = []
+        # Caches: dedup projection and trace digest per node, dedup token
+        # per pending envelope id.
+        self._parts: dict[str, str] = {}
+        self._digests: dict[str, str] = {}
+        self._tokens: dict[str, str] = {}
 
         for item in workload:
             state = self.clients.setdefault(item.client, ClientState(item.client))
             client_mod.new_request(state, item.command, item.target)
             self._emit(item.client, item.target, ClientRequest(item.client, item.command), hop=0)
+        # Nodes this Sim may mutate in place: no clone shares them.
+        self._owned: set[str] = {*self.replicas, *self.clients}
 
     def clone(self) -> "Sim":
+        """A twin sharing every node with this Sim; whichever of the two
+        mutates a node first copies it."""
         twin = Sim.__new__(Sim)
         twin.cfg = self.cfg
         twin.workload = self.workload
         twin.record_trace = self.record_trace
         twin.seq_mode = self.seq_mode
-        twin.replicas = {k: v.clone() for k, v in self.replicas.items()}
-        twin.clients = {k: v.clone() for k, v in self.clients.items()}
-        twin.envelopes = dict(self.envelopes)
-        twin.delivered = set(self.delivered)
+        twin.replicas = dict(self.replicas)
+        twin.clients = dict(self.clients)
+        twin._pending = dict(self._pending)
         twin.counters = dict(self.counters)
-        twin.inboxes = {k: list(v) for k, v in self.inboxes.items()}
-        twin.consumed = {k: set(v) for k, v in self.consumed.items()}
+        twin.inboxes = dict(self.inboxes)
+        twin.consumed = dict(self.consumed)
         twin.seq_no = self.seq_no
         twin.tail_start = self.tail_start
         twin.records = list(self.records)
         twin.commit_log = list(self.commit_log)
         twin.selection_log = list(self.selection_log)
+        self._owned = set()
+        twin._owned = set()
+        twin._parts = dict(self._parts)
+        twin._digests = dict(self._digests)
+        twin._tokens = dict(self._tokens)
         return twin
+
+    def _own(self, node: str) -> None:
+        """Prepare ``node`` for an in-place change: copy its state (and a
+        byzantine replica's inbox) if a clone may share it, and drop its
+        cached projections."""
+        self._parts.pop(node, None)
+        self._digests.pop(node, None)
+        if node in self._owned:
+            return
+        self._owned.add(node)
+        if node in self.clients:
+            self.clients[node] = self.clients[node].clone()
+            return
+        self.replicas[node] = self.replicas[node].clone()
+        if node in self.inboxes:
+            self.inboxes[node] = list(self.inboxes[node])
+            self.consumed[node] = set(self.consumed[node])
 
     # -- emission and delivery ------------------------------------------
 
@@ -256,35 +364,40 @@ class Sim:
         count = self.counters.get(sender, 0)
         self.counters[sender] = count + 1
         env = Envelope(f"{sender}#{count}", sender, recipient, payload, hop)
-        self.envelopes[env.id] = env
+        self._pending[env.id] = env
         return env
 
     def pending(self) -> list[Envelope]:
-        return [e for e in self.envelopes.values() if e.id not in self.delivered]
+        """Produced-but-undelivered envelopes, in emission order."""
+        return list(self._pending.values())
 
     def _wrap(self, sender: str, outputs: list[tuple[str, Any]], hop: int) -> list[Envelope]:
         return [self._emit(sender, recipient, payload, hop) for recipient, payload in outputs]
 
     def _deliver(self, env_id: str) -> tuple[list[Envelope], list[dict[str, Any]]]:
-        env = self.envelopes.get(env_id)
+        env = self._pending.pop(env_id, None)
         if env is None:
-            raise ScheduleError(f"deliver references unknown message {env_id!r}")
-        if env.id in self.delivered:
-            raise ScheduleError(f"message {env_id!r} was already delivered")
-        self.delivered.add(env.id)
+            raise ScheduleError(f"message {env_id!r} is not pending (unknown or already delivered)")
+        self._tokens.pop(env_id, None)
         node = env.recipient
 
         if node in self.cfg.byzantine_ids:
+            self._own(node)
             self.inboxes[node].append((env.sender, env.payload))
             return [], [{"type": "inbox", "node": node, "from": env.sender, "kind": env.kind}]
 
         if node in self.cfg.replica_ids:
-            outputs, effects = adversary_mod.honest_step(
-                self.replicas[node], self.cfg, env.sender, env.payload
-            )
+            self._own(node)
+            try:
+                outputs, effects = adversary_mod.honest_step(
+                    self.replicas[node], self.cfg, env.sender, env.payload
+                )
+            except adversary_mod.BadChoice as exc:
+                raise ScheduleError(f"message {env_id!r} cannot be delivered: {exc}") from exc
             return self._wrap(node, outputs, env.hop + 1), effects
 
         if node in self.clients:
+            self._own(node)
             state = self.clients[node]
             if node in self.cfg.faulty_client_ids:
                 if isinstance(env.payload, SpecReply):
@@ -305,7 +418,8 @@ class Sim:
     # -- event application ----------------------------------------------
 
     def apply(self, event: Event) -> dict[str, Any]:
-        """Execute one event; returns (and, if tracing, retains) its record."""
+        """Execute one event; returns its record, which carries the trace
+        fields (and is retained) only when tracing is on."""
         if event.kind == DELIVER:
             emitted, effects = self._deliver(event.message)
         elif event.kind == TIMEOUT:
@@ -323,17 +437,19 @@ class Sim:
             elif eff.get("type") == "selection":
                 self.selection_log.append({**eff, "seq_no": self.seq_no})
 
-        record = {
-            "seq_no": self.seq_no,
-            "kind": event.kind,
-            "event": event.to_json(),
-            "emitted": [envelope_to_json(e) for e in emitted],
-            "effects": effects,
-            "digests": self.node_digests() if self.record_trace else {},
-        }
-        self.seq_no += 1
         if self.record_trace:
+            record = {
+                "seq_no": self.seq_no,
+                "kind": event.kind,
+                "event": event.to_json(),
+                "emitted": [envelope_to_json(e) for e in emitted],
+                "effects": effects,
+                "digests": self.node_digests(),
+            }
             self.records.append(record)
+        else:
+            record = {"seq_no": self.seq_no, "kind": event.kind, "effects": effects}
+        self.seq_no += 1
         return record
 
     def _apply_timeout(self, event: Event) -> tuple[list[Envelope], list[dict[str, Any]]]:
@@ -341,6 +457,7 @@ class Sim:
             raise ScheduleError(f"timeout for unknown client {event.client!r}")
         if event.client in self.cfg.faulty_client_ids:
             raise ScheduleError("timeouts fire only for correct clients")
+        self._own(event.client)
         outputs, effects = client_mod.on_timeout(
             self.clients[event.client], self.cfg, event.command, self.seq_mode
         )
@@ -351,6 +468,9 @@ class Sim:
             raise ScheduleError(f"owner-change trigger for unknown replica {event.replica!r}")
         if event.replica in self.cfg.byzantine_ids:
             raise ScheduleError("owner-change triggers apply to correct replicas only")
+        if event.instance is None:
+            raise ScheduleError("owner-change trigger names no instance")
+        self._own(event.replica)
         outputs, effects = owner_change.make_vote(
             self.replicas[event.replica], self.cfg, event.instance
         )
@@ -362,16 +482,19 @@ class Sim:
             if node in self.cfg.byzantine_ids:
                 if not isinstance(event.choice, ByzantineChoice):
                     raise ScheduleError(f"{node} takes byzantine choices")
+                self._own(node)
                 outputs, effects = adversary_mod.apply_byzantine(
                     self.replicas[node], self.cfg, self.inboxes[node], self.consumed[node], event.choice
                 )
             elif node in self.cfg.faulty_client_ids:
                 if not isinstance(event.choice, FaultyClientChoice):
                     raise ScheduleError(f"{node} takes faulty-client choices")
-                state = self.clients.get(node)
-                if state is None:
+                if node not in self.clients:
                     raise ScheduleError(f"faulty client {node!r} has no workload")
-                outputs, effects = adversary_mod.apply_faulty_client(state, self.cfg, event.choice)
+                self._own(node)
+                outputs, effects = adversary_mod.apply_faulty_client(
+                    self.clients[node], self.cfg, event.choice
+                )
             else:
                 raise ScheduleError(f"adversary event for non-faulty node {node!r}")
         except (adversary_mod.BadChoice, adversary_mod.ForgedReply) as exc:
@@ -381,9 +504,60 @@ class Sim:
     # -- snapshots --------------------------------------------------------
 
     def node_digests(self) -> dict[str, str]:
-        out = {r: digest(self._replica_json(state)) for r, state in self.replicas.items()}
-        out.update({c: digest(self._client_json(state)) for c, state in self.clients.items()})
-        return out
+        """Digest of every replica and client state, as trace records
+        carry them."""
+        digests = self._digests
+        for node, state in self.replicas.items():
+            if node not in digests:
+                digests[node] = digest(self._replica_json(state))
+        for node, state in self.clients.items():
+            if node not in digests:
+                digests[node] = digest(self._client_json(state))
+        return {node: digests[node] for node in (*self.replicas, *self.clients)}
+
+    def fingerprint(self) -> str:
+        """Identity of this state for search deduplication: node states,
+        byzantine inboxes and the pending multiset, without envelope ids.
+
+        Arrival orders that cannot influence future behavior (a client's
+        received-reply history, inbox item order) are sorted away so that
+        commuting delivery interleavings collapse to one search state. The
+        parts are canonical JSON, which never contains a newline, so the
+        newline-joined digest input is unambiguous.
+        """
+        parts = [self._part(node) for node in (*self.replicas, *self.clients)]
+        tokens = self._tokens
+        for env_id, env in self._pending.items():
+            if env_id not in tokens:
+                tokens[env_id] = canonical_json(
+                    {"from": env.sender, "to": env.recipient, "payload": payload_to_json(env.payload)}
+                )
+        parts += sorted(tokens[env_id] for env_id in self._pending)
+        return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
+
+    def _part(self, node: str) -> str:
+        """The cached dedup projection of one node."""
+        part = self._parts.get(node)
+        if part is not None:
+            return part
+        if node in self.clients:
+            data = self._client_json(self.clients[node])
+            data["received"] = sorted(canonical_json(r) for r in data["received"])
+        else:
+            data = self._replica_json(self.replicas[node])
+            if node in self.inboxes:
+                consumed = self.consumed[node]
+                data = {
+                    "state": data,
+                    "inbox": sorted(
+                        canonical_json(
+                            {"from": s, "payload": payload_to_json(p), "consumed": i in consumed}
+                        )
+                        for i, (s, p) in enumerate(self.inboxes[node])
+                    ),
+                }
+        part = self._parts[node] = canonical_json(data)
+        return part
 
     def _replica_json(self, state: ReplicaState) -> dict[str, Any]:
         return {
@@ -426,39 +600,6 @@ class Sim:
             "received": [payload_to_json(r) for r in state.received],
         }
 
-    def dedup_json(self) -> dict[str, Any]:
-        """Identity of this state for search deduplication: node states plus
-        the pending multiset and byzantine inboxes, no envelope ids.
-
-        Arrival orders that cannot influence future behavior (a client's
-        received-reply history, inbox item order) are sorted away so that
-        commuting delivery interleavings collapse to one search state.
-        """
-        clients = {}
-        for c, s in self.clients.items():
-            data = self._client_json(s)
-            data["received"] = sorted(canonical_json(r) for r in data["received"])
-            clients[c] = data
-        return {
-            "replicas": {r: self._replica_json(s) for r, s in self.replicas.items()},
-            "clients": clients,
-            "pending": sorted(
-                canonical_json(
-                    {"from": e.sender, "to": e.recipient, "payload": payload_to_json(e.payload)}
-                )
-                for e in self.pending()
-            ),
-            "inboxes": {
-                b: sorted(
-                    canonical_json(
-                        {"from": s, "payload": payload_to_json(p), "consumed": i in self.consumed[b]}
-                    )
-                    for i, (s, p) in enumerate(items)
-                )
-                for b, items in self.inboxes.items()
-            },
-        }
-
 
 def run(schedule: Schedule, record_trace: bool = True) -> tuple[Sim, Trace]:
     """Replay a schedule from scratch. Deterministic: equal schedules give
@@ -469,7 +610,3 @@ def run(schedule: Schedule, record_trace: bool = True) -> tuple[Sim, Trace]:
         sim.apply(event)
     return sim, Trace(schedule, sim.records)
 
-
-def pending_messages(sim: Sim) -> list[str]:
-    """Ids of produced-but-undelivered messages, in emission order."""
-    return [e.id for e in sim.pending()]

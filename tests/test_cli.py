@@ -1,8 +1,12 @@
 """Command-line contract: exit code 0 clean, 2 violation found, 1 error."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ezbft_lab.cli import main
 from ezbft_lab.scenarios import build_happy_path, build_scenario
@@ -104,3 +108,69 @@ def test_usage_errors_exit_one():
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "scenario" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "content, field",
+    [({"config": {"n": 4}}, "'f'"), ([1, 2], "list")],
+    ids=["missing-field", "not-an-object"],
+)
+def test_replay_of_a_malformed_schedule_is_an_error(tmp_path, capsys, content, field):
+    schedule = tmp_path / "bad.schedule.json"
+    schedule.write_text(json.dumps(content))
+    assert main(["replay", str(schedule)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed schedule") and field in err
+
+
+def test_check_of_a_malformed_trace_is_an_error(tmp_path, capsys):
+    good = build_scenario("liveness").trace.serialize().splitlines()
+    trace = tmp_path / "bad.trace.jsonl"
+    trace.write_text("\n".join(good[:2] + ['{"seq_no": "one"}']) + "\n")
+    assert main(["check", str(trace)]) == 1
+    assert capsys.readouterr().err.startswith("error: malformed trace")
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+def _replace_at(value, path, new):
+    """``value`` with the node at ``path`` (a list of choices) replaced."""
+    if not path or not isinstance(value, (dict, list)) or not value:
+        return new
+    keys = sorted(value) if isinstance(value, dict) else range(len(value))
+    keys = list(keys)
+    key = keys[path[0] % len(keys)]
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[key] = _replace_at(value[key], path[1:], new)
+    return copy
+
+
+GOLDEN = build_scenario("safety").schedule.to_json()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        JSON,
+        st.builds(
+            _replace_at,
+            st.just(GOLDEN),
+            st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=8),
+            JSON,
+        ),
+    )
+)
+def test_replay_never_escapes_with_a_traceback(tmp_path_factory, content):
+    """Arbitrary JSON, and the safety schedule with one node replaced by
+    arbitrary JSON, either replays or fails with ``error: ...`` and 1."""
+    schedule = tmp_path_factory.mktemp("fuzz") / "schedule.json"
+    schedule.write_text(json.dumps(content))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["replay", str(schedule)])
+    assert code in (0, 1, 2)
+    assert (code == 1) == err.getvalue().startswith("error: ")

@@ -453,10 +453,7 @@ def verify_report(report: ViolationReport, obs: Observations) -> bool:
     """Re-confirm a report from its witnesses against independent
     observations. Used to validate minimized schedules and golden files."""
     if report.property == AGREEMENT:
-        commit_keys = {
-            (c["replica"], c["instance"], _tuple_key(c["tuple"]))
-            for c in obs.correct_commits()
-        }
+        commit_keys = _commit_keys(obs)
         for w in report.witnesses:
             if (w["replica"], w["instance"], _tuple_key(w["tuple"])) not in commit_keys:
                 return False
@@ -474,18 +471,16 @@ def verify_report(report: ViolationReport, obs: Observations) -> bool:
         return pairs_ok
     if report.property == VALIDITY:
         proposed = {w.command.id for w in obs.workload}
-        commit_keys = {
-            (c["replica"], c["instance"], _tuple_key(c["tuple"]))
-            for c in obs.correct_commits()
-        }
+        commit_keys = _commit_keys(obs)
         return bool(report.witnesses) and all(
             (w["replica"], w["instance"], _tuple_key(w["tuple"])) in commit_keys
             and w["tuple"]["command"]["id"] not in proposed
             for w in report.witnesses
         )
+    if report.property == EXECUTION_CONSISTENCY and all("pair" in w for w in report.witnesses):
+        return _verify_divergence(report.witnesses, obs)
     if report.property in (DEPENDENCY_INCLUSION, EXECUTION_CONSISTENCY):
-        fresh = CHECKERS[report.property](obs)
-        return fresh is not None
+        return _verify_uncovered_pairs(report.witnesses, obs)
     if report.property == LIVENESS:
         try:
             fresh = check_liveness(obs)
@@ -497,3 +492,53 @@ def verify_report(report: ViolationReport, obs: Observations) -> bool:
         report_stuck = {w["stuck_command"] for w in report.witnesses if "stuck_command" in w}
         return report_stuck <= fresh_stuck and bool(report_stuck)
     return False
+
+
+def _commit_keys(obs: Observations) -> set[tuple]:
+    return {(c["replica"], c["instance"], _tuple_key(c["tuple"])) for c in obs.correct_commits()}
+
+
+def _verify_uncovered_pairs(witnesses: tuple[dict[str, Any], ...], obs: Observations) -> bool:
+    """Pair witnesses, two per pair: each must be a correct replica's
+    commit of its command, the two commands must interfere, and neither
+    command's committed deps may reference an instance the other committed
+    at."""
+    if not witnesses or len(witnesses) % 2:
+        return False
+    commit_keys = _commit_keys(obs)
+    committed = _committed_commands(obs)
+    for pair in zip(witnesses[::2], witnesses[1::2]):
+        for w in pair:
+            if (w["replica"], w["instance"], _tuple_key(w["tuple"])) not in commit_keys:
+                return False
+            if w["command"] != w["tuple"]["command"]["id"]:
+                return False
+        ea, eb = (committed[w["tuple"]["command"]["id"]] for w in pair)
+        if not interferes(ea["command"], eb["command"]):
+            return False
+        if ea["deps"] & eb["instances"] or eb["deps"] & ea["instances"]:
+            return False
+    return True
+
+
+def _verify_divergence(witnesses: tuple[dict[str, Any], ...], obs: Observations) -> bool:
+    """Divergence witnesses: each names a committed interfering pair and
+    the order a correct replica finally executed it in, which must be the
+    order in ``final_executed``; every pair needs two differing orders."""
+    committed = _committed_commands(obs)
+    correct = set(obs.correct_replicas())
+    orders: dict[tuple[str, str], set[str]] = {}
+    for w in witnesses:
+        a, b = w["pair"]
+        if a not in committed or b not in committed:
+            return False
+        if not interferes(committed[a]["command"], committed[b]["command"]):
+            return False
+        executed = obs.final_executed.get(w["replica"], [])
+        if w["replica"] not in correct or a not in executed or b not in executed:
+            return False
+        order = f"{a}<{b}" if executed.index(a) < executed.index(b) else f"{b}<{a}"
+        if w["order"] != order:
+            return False
+        orders.setdefault((a, b), set()).add(order)
+    return bool(orders) and all(len(seen) >= 2 for seen in orders.values())

@@ -146,7 +146,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     print(
         f"states visited {result.states_visited}, deduplicated {result.states_deduped}, "
         f"terminals checked {result.terminals_checked}, exhausted {result.exhausted}, "
-        f"elapsed {result.elapsed_seconds:.2f}s"
+        f"transitions computed {result.transitions_computed}, "
+        f"reused {result.transitions_reused}, elapsed {result.elapsed_seconds:.2f}s"
     )
     for report, schedule in result.violations:
         print(f"violation {report.property}: {report.details}")

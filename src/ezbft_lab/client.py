@@ -59,6 +59,27 @@ class ClientState:
             received=list(self.received),
         )
 
+    def value(self) -> tuple:
+        """The state as one hashable value of its frozen parts, dict and
+        arrival order included: equal values are equal states."""
+        return (
+            ClientState,
+            self.id,
+            tuple(
+                (
+                    command_id,
+                    req.command,
+                    req.target,
+                    req.phase,
+                    req.timer_armed,
+                    tuple(req.replies.items()),
+                    tuple(req.commit_replies.items()),
+                )
+                for command_id, req in self.requests.items()
+            ),
+            tuple(self.received),
+        )
+
     def request_for(self, command_id: str) -> PendingRequest | None:
         return self.requests.get(command_id)
 

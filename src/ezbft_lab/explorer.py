@@ -55,6 +55,7 @@ from .simnet import (
     Schedule,
     ScheduleError,
     Sim,
+    TransitionMemo,
     WorkItem,
 )
 
@@ -113,6 +114,8 @@ class ExploreResult:
     states_deduped: int = 0
     terminals_checked: int = 0
     elapsed_seconds: float = 0.0
+    transitions_computed: int = 0
+    transitions_reused: int = 0
 
     def found_properties(self) -> tuple[str, ...]:
         return tuple(report.property for report, _schedule in self.violations)
@@ -128,6 +131,8 @@ class ExploreResult:
             "states_deduped": self.states_deduped,
             "terminals_checked": self.terminals_checked,
             "elapsed_seconds": round(self.elapsed_seconds, 3),
+            "transitions_computed": self.transitions_computed,
+            "transitions_reused": self.transitions_reused,
         }
 
 
@@ -564,7 +569,8 @@ def explore(
         if final is not None:
             found[report.property] = (final, minimized)
 
-    root = Sim(config, bounds.workload, record_trace=False, seq_mode=seq_mode)
+    memo = TransitionMemo()
+    root = Sim(config, bounds.workload, record_trace=False, seq_mode=seq_mode, memo=memo)
     seen: dict[str, int] = {_state_key(root, frozenset()): 0}
     stack: list[tuple[tuple[Event, ...], Sim]] = [((), root)]
     visited = deduped = terminals = 0
@@ -634,4 +640,6 @@ def explore(
         states_deduped=deduped,
         terminals_checked=terminals,
         elapsed_seconds=time.monotonic() - start,
+        transitions_computed=memo.computed,
+        transitions_reused=memo.reused,
     )

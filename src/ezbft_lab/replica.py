@@ -82,6 +82,23 @@ class ReplicaState:
             kv=dict(self.kv),
         )
 
+    def value(self) -> tuple:
+        """The state as one hashable value of its frozen parts, dict order
+        included: equal values are equal states."""
+        return (
+            ReplicaState,
+            self.id,
+            self.next_slot,
+            tuple(self.log.items()),
+            tuple(self.sent_replies.items()),
+            tuple(self.owner_numbers.items()),
+            tuple((key, tuple(votes.items())) for key, votes in self.votes.items()),
+            tuple(self.decisions.items()),
+            frozenset(self.voted),
+            self.executed,
+            tuple(self.kv.items()),
+        )
+
     def current_owner_number(self, cfg: Config, instance: InstanceId) -> OwnerNumber:
         return self.owner_numbers.get(instance, cfg.default_owner_number(instance))
 

@@ -22,7 +22,7 @@ import hashlib
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 from . import adversary as adversary_mod
 from . import client as client_mod
@@ -56,6 +56,8 @@ TRIGGER_OWNER_CHANGE = "trigger_owner_change"
 ADVERSARY = "adversary"
 
 DRAIN_CAP = 10_000
+# Handler steps a TransitionMemo holds before it starts over.
+MEMO_CAP = 512
 
 
 class ScheduleError(Exception):
@@ -263,6 +265,92 @@ def _check_record(record: Any) -> None:
             json_strings(eff, "order")
 
 
+class _Step(NamedTuple):
+    """One memoized handler step: the canonical state it ran on, the
+    object its key names by identity, and what it produced."""
+
+    before: Any
+    keep: Any
+    after: Any
+    outputs: tuple[tuple[str, Any], ...]
+    effects: tuple[dict[str, Any], ...]
+
+
+class TransitionMemo:
+    """Handler steps of correct nodes, shared by the Sims of one search.
+
+    Node states and the payloads steps emit are hash-consed: a state's
+    ``value()`` (or a payload itself) maps to one canonical object, so
+    equal values share that object, and no Sim ever mutates a canonical
+    object in place. A step is keyed by the identity of its canonical input
+    state plus the event's input: sender and payload identity for a
+    delivery, the instance for an owner-change trigger, the command for a
+    timeout. It stores the canonical result state, the canonical payloads
+    to emit and the effects. Handlers also read the configuration, so a
+    memo serves the Sims of one configuration.
+
+    Each entry holds the objects its key names by identity, so no identity
+    is reused while the entry exists. Identities stand for values, so
+    clearing is always safe: the memo starts over once it holds
+    ``MEMO_CAP`` steps. Each canonical state's dedup projection is cached
+    here too, so Sims that share a node state share its part of the
+    fingerprint.
+    """
+
+    def __init__(self) -> None:
+        self.computed = 0
+        self.reused = 0
+        self._clear()
+
+    def _clear(self) -> None:
+        self._states: dict[tuple, Any] = {}
+        self._payloads: dict[Any, Any] = {}
+        self._steps: dict[tuple[int, tuple], _Step] = {}
+        self._parts: dict[int, tuple[Any, str]] = {}
+
+    def canonical(self, state: Any) -> Any:
+        """The canonical object equal to ``state``."""
+        return self._states.setdefault(state.value(), state)
+
+    def lookup(self, state: Any, key: tuple) -> _Step | None:
+        """The stored step for a canonical state and an event input."""
+        step = self._steps.get((id(state), key))
+        if step is not None:
+            self.reused += 1
+        return step
+
+    def store(
+        self,
+        before: Any,
+        key: tuple,
+        keep: Any,
+        after: Any,
+        outputs: list[tuple[str, Any]],
+        effects: list[dict[str, Any]],
+    ) -> _Step:
+        """Record a computed step, starting over first when full."""
+        if len(self._steps) >= MEMO_CAP:
+            self._clear()
+        payloads = self._payloads
+        step = _Step(
+            before,
+            keep,
+            self.canonical(after),
+            tuple((recipient, payloads.setdefault(p, p)) for recipient, p in outputs),
+            tuple(effects),
+        )
+        self._steps[(id(before), key)] = step
+        self.computed += 1
+        return step
+
+    def part(self, state: Any, project: Callable[[], str]) -> str:
+        """The dedup projection of a canonical state, computed once."""
+        entry = self._parts.get(id(state))
+        if entry is None:
+            entry = self._parts[id(state)] = (state, project())
+        return entry[1]
+
+
 class Sim:
     """Live simulation state: every node plus the message pool.
 
@@ -276,6 +364,12 @@ class Sim:
     are cached until the node changes, and each pending envelope's dedup
     token is computed once, so ``fingerprint`` and ``node_digests`` redo
     work only for what an event touched.
+
+    A Sim built with a ``TransitionMemo`` (and every clone of it) keeps
+    each correct node's state canonical and runs every correct node's
+    handler step through the memo. A reused step re-emits its payloads
+    through ``_emit``, so envelope ids, hops, logs and effects are those
+    of a direct run.
     """
 
     def __init__(
@@ -284,6 +378,7 @@ class Sim:
         workload: tuple[WorkItem, ...],
         record_trace: bool = False,
         seq_mode: str = client_mod.SEQ_MODE_MAX,
+        memo: TransitionMemo | None = None,
     ):
         self.cfg = cfg
         self.workload = workload
@@ -307,13 +402,21 @@ class Sim:
         self._parts: dict[str, str] = {}
         self._digests: dict[str, str] = {}
         self._tokens: dict[str, str] = {}
+        self._memo = memo
 
         for item in workload:
             state = self.clients.setdefault(item.client, ClientState(item.client))
             client_mod.new_request(state, item.command, item.target)
             self._emit(item.client, item.target, ClientRequest(item.client, item.command), hop=0)
-        # Nodes this Sim may mutate in place: no clone shares them.
+        # Nodes this Sim may mutate in place: no clone shares them, and
+        # none is canonical.
         self._owned: set[str] = {*self.replicas, *self.clients}
+        if memo is not None:
+            for nodes in (self.replicas, self.clients):
+                for node in nodes:
+                    if self._correct(node):
+                        nodes[node] = memo.canonical(nodes[node])
+                        self._owned.discard(node)
 
     def clone(self) -> "Sim":
         """A twin sharing every node with this Sim; whichever of the two
@@ -339,7 +442,11 @@ class Sim:
         twin._parts = dict(self._parts)
         twin._digests = dict(self._digests)
         twin._tokens = dict(self._tokens)
+        twin._memo = self._memo
         return twin
+
+    def _correct(self, node: str) -> bool:
+        return node not in self.cfg.byzantine_ids and node not in self.cfg.faulty_client_ids
 
     def _own(self, node: str) -> None:
         """Prepare ``node`` for an in-place change: copy its state (and a
@@ -374,6 +481,37 @@ class Sim:
     def _wrap(self, sender: str, outputs: list[tuple[str, Any]], hop: int) -> list[Envelope]:
         return [self._emit(sender, recipient, payload, hop) for recipient, payload in outputs]
 
+    def _react(
+        self,
+        node: str,
+        key: tuple,
+        keep: Any,
+        handler: Callable[[Any], tuple[list[tuple[str, Any]], list[dict[str, Any]]]],
+        hop: int,
+    ) -> tuple[list[Envelope], list[dict[str, Any]]]:
+        """Run a correct node's handler on its state and emit its outputs at
+        ``hop``. With a memo, the step is first looked up by the canonical
+        state and ``key``; ``keep`` is an object the key names by identity.
+        A computed step is stored with its result state made canonical,
+        which ends this Sim's ownership of the node."""
+        nodes: dict[str, Any] = self.clients if node in self.clients else self.replicas
+        memo = self._memo
+        if memo is None:
+            self._own(node)
+            outputs, effects = handler(nodes[node])
+            return self._wrap(node, outputs, hop), effects
+        before = nodes[node]
+        step = memo.lookup(before, key)
+        if step is None:
+            self._own(node)
+            outputs, effects = handler(nodes[node])
+            step = memo.store(before, key, keep, nodes[node], outputs, effects)
+        self._parts.pop(node, None)
+        self._digests.pop(node, None)
+        self._owned.discard(node)
+        nodes[node] = step.after
+        return [self._emit(node, r, p, hop) for r, p in step.outputs], list(step.effects)
+
     def _deliver(self, env_id: str) -> tuple[list[Envelope], list[dict[str, Any]]]:
         env = self._pending.pop(env_id, None)
         if env is None:
@@ -386,32 +524,42 @@ class Sim:
             self.inboxes[node].append((env.sender, env.payload))
             return [], [{"type": "inbox", "node": node, "from": env.sender, "kind": env.kind}]
 
-        if node in self.cfg.replica_ids:
-            self._own(node)
+        cfg, sender, payload = self.cfg, env.sender, env.payload
+        key = (sender, id(payload))
+        if node in cfg.replica_ids:
             try:
-                outputs, effects = adversary_mod.honest_step(
-                    self.replicas[node], self.cfg, env.sender, env.payload
+                return self._react(
+                    node,
+                    key,
+                    payload,
+                    lambda state: adversary_mod.honest_step(state, cfg, sender, payload),
+                    env.hop + 1,
                 )
             except adversary_mod.BadChoice as exc:
                 raise ScheduleError(f"message {env_id!r} cannot be delivered: {exc}") from exc
-            return self._wrap(node, outputs, env.hop + 1), effects
 
         if node in self.clients:
-            self._own(node)
-            state = self.clients[node]
-            if node in self.cfg.faulty_client_ids:
-                if isinstance(env.payload, SpecReply):
-                    client_mod.record_reply(state, env.payload)
-                elif isinstance(env.payload, CommitReply):
-                    client_mod.record_commit_reply(state, env.payload)
+            if node in cfg.faulty_client_ids:
+                self._own(node)
+                state = self.clients[node]
+                if isinstance(payload, SpecReply):
+                    client_mod.record_reply(state, payload)
+                elif isinstance(payload, CommitReply):
+                    client_mod.record_commit_reply(state, payload)
                 return [], [{"type": "recorded", "node": node, "kind": env.kind}]
-            if isinstance(env.payload, SpecReply):
-                outputs, effects = client_mod.on_spec_reply(state, self.cfg, env.payload)
-            elif isinstance(env.payload, CommitReply):
-                outputs, effects = client_mod.on_commit_reply(state, self.cfg, env.payload)
+            if isinstance(payload, SpecReply):
+                handler = client_mod.on_spec_reply
+            elif isinstance(payload, CommitReply):
+                handler = client_mod.on_commit_reply
             else:
                 return [], [{"type": "drop", "node": node, "reason": "unexpected_payload"}]
-            return self._wrap(node, outputs, env.hop + 1), effects
+            return self._react(
+                node,
+                key,
+                payload,
+                lambda state: handler(state, cfg, payload),
+                env.hop + 1,
+            )
 
         raise ScheduleError(f"message {env_id!r} addressed to unknown node {node!r}")
 
@@ -457,11 +605,13 @@ class Sim:
             raise ScheduleError(f"timeout for unknown client {event.client!r}")
         if event.client in self.cfg.faulty_client_ids:
             raise ScheduleError("timeouts fire only for correct clients")
-        self._own(event.client)
-        outputs, effects = client_mod.on_timeout(
-            self.clients[event.client], self.cfg, event.command, self.seq_mode
+        return self._react(
+            event.client,
+            (TIMEOUT, event.command, self.seq_mode),
+            None,
+            lambda state: client_mod.on_timeout(state, self.cfg, event.command, self.seq_mode),
+            0,
         )
-        return self._wrap(event.client, outputs, 0), effects
 
     def _apply_trigger(self, event: Event) -> tuple[list[Envelope], list[dict[str, Any]]]:
         if event.replica not in self.cfg.replica_ids:
@@ -470,11 +620,13 @@ class Sim:
             raise ScheduleError("owner-change triggers apply to correct replicas only")
         if event.instance is None:
             raise ScheduleError("owner-change trigger names no instance")
-        self._own(event.replica)
-        outputs, effects = owner_change.make_vote(
-            self.replicas[event.replica], self.cfg, event.instance
+        return self._react(
+            event.replica,
+            (TRIGGER_OWNER_CHANGE, event.instance),
+            None,
+            lambda state: owner_change.make_vote(state, self.cfg, event.instance),
+            0,
         )
-        return self._wrap(event.replica, outputs, 0), effects
 
     def _apply_adversary(self, event: Event) -> tuple[list[Envelope], list[dict[str, Any]]]:
         node = event.node
@@ -538,8 +690,16 @@ class Sim:
     def _part(self, node: str) -> str:
         """The cached dedup projection of one node."""
         part = self._parts.get(node)
-        if part is not None:
-            return part
+        if part is None:
+            if self._memo is not None and self._correct(node):
+                state = self.clients[node] if node in self.clients else self.replicas[node]
+                part = self._memo.part(state, lambda: self._project(node))
+            else:
+                part = self._project(node)
+            self._parts[node] = part
+        return part
+
+    def _project(self, node: str) -> str:
         if node in self.clients:
             data = self._client_json(self.clients[node])
             data["received"] = sorted(canonical_json(r) for r in data["received"])
@@ -556,8 +716,7 @@ class Sim:
                         for i, (s, p) in enumerate(self.inboxes[node])
                     ),
                 }
-        part = self._parts[node] = canonical_json(data)
-        return part
+        return canonical_json(data)
 
     def _replica_json(self, state: ReplicaState) -> dict[str, Any]:
         return {

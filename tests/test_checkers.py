@@ -1,6 +1,8 @@
 """Property checkers over run observations: positives, negatives, and the
 report verifier. Scenario-independent cases build observations by hand."""
 
+import json
+
 import pytest
 
 from ezbft_lab.adversary import (
@@ -25,8 +27,8 @@ from ezbft_lab.checkers import (
 from ezbft_lab.core import Command, Config, InstanceId
 from ezbft_lab.explorer import extend_with_tail
 from ezbft_lab.messages import CommitCertificate
-from ezbft_lab.scenarios import build_happy_path, build_scenario
-from ezbft_lab.simnet import ADVERSARY, DELIVER, Event, Sim, WorkItem, run
+from ezbft_lab.scenarios import SCENARIO_NAMES, build_happy_path, build_scenario, golden_text
+from ezbft_lab.simnet import ADVERSARY, DELIVER, Event, Sim, Trace, WorkItem, run
 
 
 def _commit(replica, instance, cmd, deps, seq, seq_no=0):
@@ -304,6 +306,77 @@ def test_verify_report_confirms_scenario_reports_and_rejects_tampering():
         genuine.details,
     )
     assert not verify_report(tampered, obs)
+
+
+def test_verify_report_confirms_every_golden_report(tmp_path):
+    for name in SCENARIO_NAMES:
+        path = tmp_path / f"{name}.trace.jsonl"
+        path.write_text(golden_text(name, "trace"), encoding="utf-8")
+        obs = Observations.from_trace(Trace.read(str(path)))
+        reports = json.loads(golden_text(name, "reports"))["reports"]
+        assert reports
+        for data in reports:
+            assert verify_report(ViolationReport.from_json(data), obs), (name, data["property"])
+
+
+def _with_witness(report, index, **changes):
+    witnesses = list(report.witnesses)
+    witnesses[index] = {**witnesses[index], **changes}
+    return ViolationReport(report.property, tuple(witnesses), report.trace_slice, report.details)
+
+
+def test_verify_report_checks_pair_witnesses(cfg, cmd_a, cmd_b):
+    workload = (WorkItem("c1", cmd_a, "R"), WorkItem("c2", cmd_b, "Q"))
+    uncovered = _obs(cfg, workload, [
+        _commit("R", "R.0", cmd_a, [], 1),
+        _commit("R", "Q.0", cmd_b, [], 1),
+    ])
+    for check in (check_dependency_inclusion, check_execution_consistency):
+        report = check(uncovered)
+        assert verify_report(report, uncovered)
+        # A witness that is no correct replica's commit.
+        assert not verify_report(_with_witness(report, 0, replica="L"), uncovered)
+        # A witness whose command is not the committed tuple's.
+        assert not verify_report(_with_witness(report, 1, command="a"), uncovered)
+        # An odd witness count is no list of pairs.
+        assert not verify_report(
+            ViolationReport(report.property, report.witnesses[:1], None, ""), uncovered
+        )
+        # Every witness is a real commit, but another commit of b cites R.0.
+        covered = _obs(cfg, workload, uncovered.commits + [_commit("L", "Q.0", cmd_b, ["R.0"], 2)])
+        assert not verify_report(report, covered)
+
+    other = Command("x", "c2", "elsewhere", "vx")
+    apart = _obs(cfg, (WorkItem("c1", cmd_a, "R"), WorkItem("c2", other, "Q")), [
+        _commit("R", "R.0", cmd_a, [], 1),
+        _commit("R", "Q.0", other, [], 1),
+    ])
+    non_interfering = tuple(
+        {key: c[key] for key in ("replica", "instance", "tuple", "seq_no")}
+        | {"command": c["tuple"]["command"]["id"]}
+        for c in apart.commits
+    )
+    forged = ViolationReport("dependency_inclusion", non_interfering, None, "")
+    assert not verify_report(forged, apart)
+
+
+def test_verify_report_checks_divergence_witnesses(cfg, cmd_a, cmd_b):
+    workload = (WorkItem("c1", cmd_a, "R"), WorkItem("c2", cmd_b, "Q"))
+    commits = [
+        _commit("R", "R.0", cmd_a, ["Q.0"], 2),
+        _commit("R", "Q.0", cmd_b, ["R.0"], 2),
+    ]
+    obs = _obs(cfg, workload, commits, executed={"R": ["a", "b"], "L": ["b", "a"]})
+    report = check_execution_consistency(obs)
+    assert [w["order"] for w in report.witnesses] == ["b<a", "a<b"]
+    assert verify_report(report, obs)
+    # An order the replica did not execute.
+    assert not verify_report(_with_witness(report, 0, order="a<b"), obs)
+    # Witnesses that agree show no divergence.
+    agreeing = _obs(cfg, workload, commits, executed={"R": ["a", "b"], "L": ["a", "b"]})
+    assert not verify_report(_with_witness(report, 0, order="a<b"), agreeing)
+    # A pair that never committed.
+    assert not verify_report(_with_witness(report, 1, pair=["a", "z"]), obs)
 
 
 def test_report_json_round_trip():

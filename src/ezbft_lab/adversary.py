@@ -27,7 +27,6 @@ from .messages import (
     SpecReply,
     certificate_from_json,
     certificate_to_json,
-    payload_from_json,
     payload_to_json,
 )
 from .replica import Effect, Output, ReplicaState
@@ -358,22 +357,3 @@ def apply_faulty_client(
     if state.id not in cfg.faulty_client_ids:
         raise BadChoice(f"{state.id} is not a faulty client")
     return faulty_client_certificates(state, cfg, choice)
-
-
-# payload_from_json is re-exported for schedule deserialization convenience.
-__all__ = [
-    "ByzantineChoice",
-    "FaultyClientChoice",
-    "ForgedReply",
-    "BadChoice",
-    "apply_byzantine",
-    "honest_step",
-    "apply_faulty_client",
-    "byz_spec_replies",
-    "byz_owner_change_vote",
-    "byz_spec_orders",
-    "faulty_client_certificates",
-    "choice_to_json",
-    "choice_from_json",
-    "payload_from_json",
-]

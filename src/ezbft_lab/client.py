@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .core import Command, Config, InstanceId, OrderingTuple, tuples_equal
-from .messages import Commit, CommitCertificate, CommitFast, CommitReply, SpecReply
+from .messages import Commit, CommitCertificate, CommitFast, CommitReply, SpecReply, payload_to_json
 
 SPECULATING = "speculating"
 FINALIZING = "finalizing"
@@ -46,11 +46,16 @@ class PendingRequest:
 
 @dataclass
 class ClientState:
+    """One client's local state. Like ``ReplicaState`` it carries its dedup
+    projection ``part`` and trace ``digest``, filled on first use."""
+
     id: str
     requests: dict[str, PendingRequest] = field(default_factory=dict)
     # Every spec reply ever delivered to this client, in arrival order.
     # This is the ground truth for what a faulty client may package.
     received: list[SpecReply] = field(default_factory=list)
+    part: str | None = field(default=None, init=False, compare=False, repr=False)
+    digest: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def clone(self) -> "ClientState":
         return ClientState(
@@ -79,6 +84,23 @@ class ClientState:
             ),
             tuple(self.received),
         )
+
+    def to_json(self) -> dict[str, Any]:
+        """The state as trace digests and dedup projections see it."""
+        return {
+            "id": self.id,
+            "requests": {
+                cid: {
+                    "target": req.target,
+                    "phase": req.phase,
+                    "timer_armed": req.timer_armed,
+                    "replies": {s: payload_to_json(r) for s, r in req.replies.items()},
+                    "commit_replies": {s: payload_to_json(r) for s, r in req.commit_replies.items()},
+                }
+                for cid, req in self.requests.items()
+            },
+            "received": [payload_to_json(r) for r in self.received],
+        }
 
     def request_for(self, command_id: str) -> PendingRequest | None:
         return self.requests.get(command_id)

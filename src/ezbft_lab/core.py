@@ -5,12 +5,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
-
-
-class MissingDependency(Exception):
-    """A dependency cites an instance that is absent from the known map."""
+from dataclasses import dataclass
+from typing import Any, Mapping
 
 
 def typed(value: Any, kind: type, what: str) -> Any:
@@ -180,20 +176,6 @@ class Config:
 def interferes(a: Command, b: Command) -> bool:
     """Two distinct commands interfere iff they touch the same key."""
     return a.id != b.id and a.key == b.key
-
-
-def compute_seq(deps: Iterable[InstanceId], known: Mapping[InstanceId, OrderingTuple]) -> int:
-    """Sequence number implied by a dependency set: one past the max dep seq.
-
-    Every dep must resolve in ``known``; callers that tolerate dangling
-    references filter first.
-    """
-    best = 0
-    for dep in deps:
-        if dep not in known:
-            raise MissingDependency(str(dep))
-        best = max(best, known[dep].seq)
-    return best + 1
 
 
 def tuples_equal(p: OrderingTuple, q: OrderingTuple) -> bool:

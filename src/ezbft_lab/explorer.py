@@ -419,19 +419,7 @@ def extend_with_tail(sim: Sim, bounds: ExploreBounds) -> list[Event]:
     cfg = sim.cfg
     if sim.tail_start is None:
         sim.tail_start = sim.seq_no
-    applied: list[Event] = []
-
-    def drain() -> None:
-        for _ in range(DRAIN_CAP):
-            pend = sim.pending()
-            if not pend:
-                return
-            event = Event(DELIVER, message=pend[0].id, note="tail")
-            sim.apply(event)
-            applied.append(event)
-        raise ExploreError("synchronous tail exceeded the drain cap")
-
-    drain()
+    applied = sim.drain("tail")
     for _round in range(DRAIN_CAP):
         fired = False
         speculated = {
@@ -455,7 +443,7 @@ def extend_with_tail(sim: Sim, bounds: ExploreBounds) -> list[Event]:
                 fired = True
         if not fired:
             return applied
-        drain()
+        applied += sim.drain("tail")
     raise ExploreError("synchronous tail did not quiesce")
 
 

@@ -8,10 +8,10 @@ Faulty nodes may say arbitrary things but never as somebody else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Any, Callable, Mapping
 
-from .core import Command, InstanceId, OrderingTuple, OwnerNumber, json_field
+from .core import Command, InstanceId, OrderingTuple, OwnerNumber, canonical_json, json_field
 
 
 @dataclass(frozen=True)
@@ -187,6 +187,13 @@ class Envelope:
     @property
     def kind(self) -> str:
         return self.payload.kind
+
+    @cached_property
+    def token(self) -> str:
+        """The envelope as search deduplication sees it: without id or hop."""
+        return canonical_json(
+            {"from": self.sender, "to": self.recipient, "payload": payload_to_json(self.payload)}
+        )
 
 
 def payload_to_json(p: Payload) -> dict[str, Any]:

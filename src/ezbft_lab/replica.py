@@ -26,6 +26,8 @@ from .messages import (
     CommitReply,
     SpecOrder,
     SpecReply,
+    certificate_to_json,
+    payload_to_json,
 )
 
 SPECULATED = "speculated"
@@ -49,7 +51,12 @@ class InstanceRecord:
 @dataclass
 class ReplicaState:
     """One replica's full local state. Values held in containers are frozen,
-    so cloning is a shallow copy of the containers."""
+    so cloning is a shallow copy of the containers.
+
+    A Sim never changes a state once it installed it, so the state carries
+    its derived forms: ``part`` (the dedup projection, which for a byzantine
+    replica includes its inbox) and ``digest`` (the trace digest), filled
+    on first use. Neither is a constructor option or part of ``value()``."""
 
     id: str
     next_slot: int = 0
@@ -67,6 +74,8 @@ class ReplicaState:
     # Execution artifacts, rebuilt by replay() whenever the log changes.
     executed: tuple[tuple[str, tuple[str, ...], int], ...] = ()
     kv: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    part: str | None = field(default=None, init=False, compare=False, repr=False)
+    digest: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def clone(self) -> "ReplicaState":
         return ReplicaState(
@@ -98,6 +107,32 @@ class ReplicaState:
             self.executed,
             tuple(self.kv.items()),
         )
+
+    def to_json(self) -> dict[str, Any]:
+        """The state as trace digests and dedup projections see it."""
+        return {
+            "id": self.id,
+            "next_slot": self.next_slot,
+            "log": {
+                str(i): {
+                    "tuple": rec.tuple.to_json(),
+                    "owner_number": rec.owner_number,
+                    "status": rec.status,
+                    "certificate": certificate_to_json(rec.certificate) if rec.certificate else None,
+                }
+                for i, rec in self.log.items()
+            },
+            "sent_replies": {str(i): payload_to_json(r) for i, r in self.sent_replies.items()},
+            "owner_numbers": {str(i): n for i, n in self.owner_numbers.items()},
+            "votes": {
+                f"{i}@{n}": {s: payload_to_json(v) for s, v in votes.items()}
+                for (i, n), votes in self.votes.items()
+            },
+            "decisions": {f"{i}@{n}": d.to_json() for (i, n), d in self.decisions.items()},
+            "voted": sorted(f"{i}@{n}" for i, n in self.voted),
+            "executed": [list(e) for e in self.executed],
+            "kv": {k: list(v) for k, v in self.kv.items()},
+        }
 
     def current_owner_number(self, cfg: Config, instance: InstanceId) -> OwnerNumber:
         return self.owner_numbers.get(instance, cfg.default_owner_number(instance))

@@ -54,7 +54,6 @@ from .messages import CommitCertificate, SpecReply
 from .simnet import (
     ADVERSARY,
     DELIVER,
-    DRAIN_CAP,
     TIMEOUT,
     TRIGGER_OWNER_CHANGE,
     Event,
@@ -68,21 +67,6 @@ SAFETY = "safety"
 EXEC_CONSISTENCY = "exec-consistency"
 LIVENESS = "liveness"
 SCENARIO_NAMES = (SAFETY, EXEC_CONSISTENCY, LIVENESS)
-
-DESCRIPTIONS = {
-    SAFETY: (
-        "split fast/slow certificates from an equivocating replica make "
-        "correct replicas finalize different tuples for one instance"
-    ),
-    EXEC_CONSISTENCY: (
-        "fault-free race: owner changes finalize two interfering commands "
-        "with empty dependency sets, leaving their order unconstrained"
-    ),
-    LIVENESS: (
-        "two slow certificates for non-equal tuples dead-end the owner "
-        "change; a correct client's command can never finish"
-    ),
-}
 
 # What the checkers must report for each scenario, frozen as
 # (property, details) pairs in checker order.
@@ -185,16 +169,11 @@ class ScheduleBuilder:
         self.tail_start = self.sim.seq_no
         self.sim.tail_start = self.tail_start
 
-    def drain(self, cap: int = DRAIN_CAP) -> int:
+    def drain(self) -> int:
         """Deliver pending messages oldest-first until none remain."""
-        delivered = 0
-        for _ in range(cap):
-            pend = self.sim.pending()
-            if not pend:
-                return delivered
-            self._apply(Event(DELIVER, message=pend[0].id))
-            delivered += 1
-        raise ScenarioError(f"drain did not quiesce within {cap} deliveries")
+        applied = self.sim.drain()
+        self.events += applied
+        return len(applied)
 
     def received_reply(self, client: str, sender: str, t: OrderingTuple) -> SpecReply:
         """The exact reply object this client received: certificates built

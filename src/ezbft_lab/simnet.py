@@ -43,7 +43,6 @@ from .messages import (
     CommitReply,
     Envelope,
     SpecReply,
-    certificate_to_json,
     envelope_to_json,
     payload_to_json,
 )
@@ -281,20 +280,19 @@ class TransitionMemo:
 
     Node states and the payloads steps emit are hash-consed: a state's
     ``value()`` (or a payload itself) maps to one canonical object, so
-    equal values share that object, and no Sim ever mutates a canonical
-    object in place. A step is keyed by the identity of its canonical input
-    state plus the event's input: sender and payload identity for a
-    delivery, the instance for an owner-change trigger, the command for a
-    timeout. It stores the canonical result state, the canonical payloads
-    to emit and the effects. Handlers also read the configuration, so a
-    memo serves the Sims of one configuration.
+    equal values share that object and the derived forms it carries. No
+    Sim changes an installed state, so no canonical state ever changes. A
+    step is keyed by the identity of its canonical input state plus the
+    event's input: sender and payload identity for a delivery, the
+    instance for an owner-change trigger, the command for a timeout. It
+    stores the canonical result state, the canonical payloads to emit and
+    the effects. Handlers also read the configuration, so a memo serves
+    the Sims of one configuration.
 
     Each entry holds the objects its key names by identity, so no identity
     is reused while the entry exists. Identities stand for values, so
     clearing is always safe: the memo starts over once it holds
-    ``MEMO_CAP`` steps. Each canonical state's dedup projection is cached
-    here too, so Sims that share a node state share its part of the
-    fingerprint.
+    ``MEMO_CAP`` steps.
     """
 
     def __init__(self) -> None:
@@ -306,7 +304,6 @@ class TransitionMemo:
         self._states: dict[tuple, Any] = {}
         self._payloads: dict[Any, Any] = {}
         self._steps: dict[tuple[int, tuple], _Step] = {}
-        self._parts: dict[int, tuple[Any, str]] = {}
 
     def canonical(self, state: Any) -> Any:
         """The canonical object equal to ``state``."""
@@ -343,13 +340,6 @@ class TransitionMemo:
         self.computed += 1
         return step
 
-    def part(self, state: Any, project: Callable[[], str]) -> str:
-        """The dedup projection of a canonical state, computed once."""
-        entry = self._parts.get(id(state))
-        if entry is None:
-            entry = self._parts[id(state)] = (state, project())
-        return entry[1]
-
 
 class Sim:
     """Live simulation state: every node plus the message pool.
@@ -357,13 +347,14 @@ class Sim:
     The constructor seeds one pending request envelope per workload item
     (hop 0); nothing else happens until events are applied.
 
-    Nodes are copy-on-write: ``clone`` shares every replica and client
-    state, and ``apply`` copies the one node an event mutates the first
-    time it touches it after a clone. Node state therefore changes only
-    inside ``apply``. Each node's canonical projection and trace digest
-    are cached until the node changes, and each pending envelope's dedup
-    token is computed once, so ``fingerprint`` and ``node_digests`` redo
-    work only for what an event touched.
+    A Sim never changes a node-state object once it installed it: every
+    event that changes a node installs a new object, either a private copy
+    the handler changed or the memo's canonical result. A byzantine
+    replica's inbox and consumed set are replaced together with its state.
+    Installed objects can therefore be shared freely, and each carries its
+    own dedup projection and trace digest (and each envelope its dedup
+    token), so fingerprints and trace digests are computed only for what
+    an event installed.
 
     A Sim built with a ``TransitionMemo`` (and every clone of it) keeps
     each correct node's state canonical and runs every correct node's
@@ -397,30 +388,22 @@ class Sim:
         # Cheap observation logs kept even with tracing off.
         self.commit_log: list[dict[str, Any]] = []
         self.selection_log: list[dict[str, Any]] = []
-        # Caches: dedup projection and trace digest per node, dedup token
-        # per pending envelope id.
-        self._parts: dict[str, str] = {}
-        self._digests: dict[str, str] = {}
-        self._tokens: dict[str, str] = {}
         self._memo = memo
 
         for item in workload:
             state = self.clients.setdefault(item.client, ClientState(item.client))
             client_mod.new_request(state, item.command, item.target)
             self._emit(item.client, item.target, ClientRequest(item.client, item.command), hop=0)
-        # Nodes this Sim may mutate in place: no clone shares them, and
-        # none is canonical.
-        self._owned: set[str] = {*self.replicas, *self.clients}
         if memo is not None:
+            faulty = cfg.byzantine_ids | cfg.faulty_client_ids
             for nodes in (self.replicas, self.clients):
                 for node in nodes:
-                    if self._correct(node):
+                    if node not in faulty:
                         nodes[node] = memo.canonical(nodes[node])
-                        self._owned.discard(node)
 
     def clone(self) -> "Sim":
-        """A twin sharing every node with this Sim; whichever of the two
-        mutates a node first copies it."""
+        """A twin sharing every installed node object with this Sim; an
+        event on either installs new objects and leaves the other alone."""
         twin = Sim.__new__(Sim)
         twin.cfg = self.cfg
         twin.workload = self.workload
@@ -437,33 +420,21 @@ class Sim:
         twin.records = list(self.records)
         twin.commit_log = list(self.commit_log)
         twin.selection_log = list(self.selection_log)
-        self._owned = set()
-        twin._owned = set()
-        twin._parts = dict(self._parts)
-        twin._digests = dict(self._digests)
-        twin._tokens = dict(self._tokens)
         twin._memo = self._memo
         return twin
 
-    def _correct(self, node: str) -> bool:
-        return node not in self.cfg.byzantine_ids and node not in self.cfg.faulty_client_ids
-
-    def _own(self, node: str) -> None:
-        """Prepare ``node`` for an in-place change: copy its state (and a
-        byzantine replica's inbox) if a clone may share it, and drop its
-        cached projections."""
-        self._parts.pop(node, None)
-        self._digests.pop(node, None)
-        if node in self._owned:
-            return
-        self._owned.add(node)
+    def _own(self, node: str) -> Any:
+        """Install and return a private copy of ``node``'s state for an
+        event to change; a byzantine replica's inbox and consumed set are
+        copied with it."""
         if node in self.clients:
-            self.clients[node] = self.clients[node].clone()
-            return
-        self.replicas[node] = self.replicas[node].clone()
+            state = self.clients[node] = self.clients[node].clone()
+            return state
+        state = self.replicas[node] = self.replicas[node].clone()
         if node in self.inboxes:
             self.inboxes[node] = list(self.inboxes[node])
             self.consumed[node] = set(self.consumed[node])
+        return state
 
     # -- emission and delivery ------------------------------------------
 
@@ -478,6 +449,19 @@ class Sim:
         """Produced-but-undelivered envelopes, in emission order."""
         return list(self._pending.values())
 
+    def drain(self, note: str = "") -> list[Event]:
+        """Deliver the oldest pending envelope until none remain; returns
+        the events applied, each carrying ``note``. Raises ScheduleError
+        when ``DRAIN_CAP`` deliveries leave messages pending."""
+        applied: list[Event] = []
+        for _ in range(DRAIN_CAP):
+            if not self._pending:
+                return applied
+            event = Event(DELIVER, message=next(iter(self._pending)), note=note)
+            self.apply(event)
+            applied.append(event)
+        raise ScheduleError(f"drain did not quiesce within {DRAIN_CAP} deliveries")
+
     def _wrap(self, sender: str, outputs: list[tuple[str, Any]], hop: int) -> list[Envelope]:
         return [self._emit(sender, recipient, payload, hop) for recipient, payload in outputs]
 
@@ -489,26 +473,22 @@ class Sim:
         handler: Callable[[Any], tuple[list[tuple[str, Any]], list[dict[str, Any]]]],
         hop: int,
     ) -> tuple[list[Envelope], list[dict[str, Any]]]:
-        """Run a correct node's handler on its state and emit its outputs at
-        ``hop``. With a memo, the step is first looked up by the canonical
-        state and ``key``; ``keep`` is an object the key names by identity.
-        A computed step is stored with its result state made canonical,
-        which ends this Sim's ownership of the node."""
-        nodes: dict[str, Any] = self.clients if node in self.clients else self.replicas
+        """Run a correct node's handler on a copy of its state and emit its
+        outputs at ``hop``. With a memo, the step is first looked up by the
+        canonical state and ``key``; ``keep`` is an object the key names by
+        identity. A computed step is stored with its result state made
+        canonical, and the canonical result is installed."""
         memo = self._memo
         if memo is None:
-            self._own(node)
-            outputs, effects = handler(nodes[node])
+            outputs, effects = handler(self._own(node))
             return self._wrap(node, outputs, hop), effects
+        nodes: dict[str, Any] = self.clients if node in self.clients else self.replicas
         before = nodes[node]
         step = memo.lookup(before, key)
         if step is None:
-            self._own(node)
-            outputs, effects = handler(nodes[node])
-            step = memo.store(before, key, keep, nodes[node], outputs, effects)
-        self._parts.pop(node, None)
-        self._digests.pop(node, None)
-        self._owned.discard(node)
+            after = before.clone()
+            outputs, effects = handler(after)
+            step = memo.store(before, key, keep, after, outputs, effects)
         nodes[node] = step.after
         return [self._emit(node, r, p, hop) for r, p in step.outputs], list(step.effects)
 
@@ -516,7 +496,6 @@ class Sim:
         env = self._pending.pop(env_id, None)
         if env is None:
             raise ScheduleError(f"message {env_id!r} is not pending (unknown or already delivered)")
-        self._tokens.pop(env_id, None)
         node = env.recipient
 
         if node in self.cfg.byzantine_ids:
@@ -540,8 +519,7 @@ class Sim:
 
         if node in self.clients:
             if node in cfg.faulty_client_ids:
-                self._own(node)
-                state = self.clients[node]
+                state = self._own(node)
                 if isinstance(payload, SpecReply):
                     client_mod.record_reply(state, payload)
                 elif isinstance(payload, CommitReply):
@@ -634,18 +612,17 @@ class Sim:
             if node in self.cfg.byzantine_ids:
                 if not isinstance(event.choice, ByzantineChoice):
                     raise ScheduleError(f"{node} takes byzantine choices")
-                self._own(node)
+                state = self._own(node)
                 outputs, effects = adversary_mod.apply_byzantine(
-                    self.replicas[node], self.cfg, self.inboxes[node], self.consumed[node], event.choice
+                    state, self.cfg, self.inboxes[node], self.consumed[node], event.choice
                 )
             elif node in self.cfg.faulty_client_ids:
                 if not isinstance(event.choice, FaultyClientChoice):
                     raise ScheduleError(f"{node} takes faulty-client choices")
                 if node not in self.clients:
                     raise ScheduleError(f"faulty client {node!r} has no workload")
-                self._own(node)
                 outputs, effects = adversary_mod.apply_faulty_client(
-                    self.clients[node], self.cfg, event.choice
+                    self._own(node), self.cfg, event.choice
                 )
             else:
                 raise ScheduleError(f"adversary event for non-faulty node {node!r}")
@@ -658,14 +635,12 @@ class Sim:
     def node_digests(self) -> dict[str, str]:
         """Digest of every replica and client state, as trace records
         carry them."""
-        digests = self._digests
-        for node, state in self.replicas.items():
-            if node not in digests:
-                digests[node] = digest(self._replica_json(state))
-        for node, state in self.clients.items():
-            if node not in digests:
-                digests[node] = digest(self._client_json(state))
-        return {node: digests[node] for node in (*self.replicas, *self.clients)}
+        digests: dict[str, str] = {}
+        for node, state in (*self.replicas.items(), *self.clients.items()):
+            if state.digest is None:
+                state.digest = digest(state.to_json())
+            digests[node] = state.digest
+        return digests
 
     def fingerprint(self) -> str:
         """Identity of this state for search deduplication: node states,
@@ -677,35 +652,18 @@ class Sim:
         parts are canonical JSON, which never contains a newline, so the
         newline-joined digest input is unambiguous.
         """
-        parts = [self._part(node) for node in (*self.replicas, *self.clients)]
-        tokens = self._tokens
-        for env_id, env in self._pending.items():
-            if env_id not in tokens:
-                tokens[env_id] = canonical_json(
-                    {"from": env.sender, "to": env.recipient, "payload": payload_to_json(env.payload)}
-                )
-        parts += sorted(tokens[env_id] for env_id in self._pending)
+        nodes = (*self.replicas.items(), *self.clients.items())
+        parts = [self._part(node, state) for node, state in nodes]
+        parts += sorted(env.token for env in self._pending.values())
         return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
 
-    def _part(self, node: str) -> str:
-        """The cached dedup projection of one node."""
-        part = self._parts.get(node)
-        if part is None:
-            if self._memo is not None and self._correct(node):
-                state = self.clients[node] if node in self.clients else self.replicas[node]
-                part = self._memo.part(state, lambda: self._project(node))
-            else:
-                part = self._project(node)
-            self._parts[node] = part
-        return part
-
-    def _project(self, node: str) -> str:
-        if node in self.clients:
-            data = self._client_json(self.clients[node])
-            data["received"] = sorted(canonical_json(r) for r in data["received"])
-        else:
-            data = self._replica_json(self.replicas[node])
-            if node in self.inboxes:
+    def _part(self, node: str, state: Any) -> str:
+        """The dedup projection of one node, cached on its state."""
+        if state.part is None:
+            data = state.to_json()
+            if node in self.clients:
+                data["received"] = sorted(canonical_json(r) for r in data["received"])
+            elif node in self.inboxes:
                 consumed = self.consumed[node]
                 data = {
                     "state": data,
@@ -716,48 +674,8 @@ class Sim:
                         for i, (s, p) in enumerate(self.inboxes[node])
                     ),
                 }
-        return canonical_json(data)
-
-    def _replica_json(self, state: ReplicaState) -> dict[str, Any]:
-        return {
-            "id": state.id,
-            "next_slot": state.next_slot,
-            "log": {
-                str(i): {
-                    "tuple": rec.tuple.to_json(),
-                    "owner_number": rec.owner_number,
-                    "status": rec.status,
-                    "certificate": certificate_to_json(rec.certificate) if rec.certificate else None,
-                }
-                for i, rec in state.log.items()
-            },
-            "sent_replies": {str(i): payload_to_json(r) for i, r in state.sent_replies.items()},
-            "owner_numbers": {str(i): n for i, n in state.owner_numbers.items()},
-            "votes": {
-                f"{i}@{n}": {s: payload_to_json(v) for s, v in votes.items()}
-                for (i, n), votes in state.votes.items()
-            },
-            "decisions": {f"{i}@{n}": d.to_json() for (i, n), d in state.decisions.items()},
-            "voted": sorted(f"{i}@{n}" for i, n in state.voted),
-            "executed": [list(e) for e in state.executed],
-            "kv": {k: list(v) for k, v in state.kv.items()},
-        }
-
-    def _client_json(self, state: ClientState) -> dict[str, Any]:
-        return {
-            "id": state.id,
-            "requests": {
-                cid: {
-                    "target": req.target,
-                    "phase": req.phase,
-                    "timer_armed": req.timer_armed,
-                    "replies": {s: payload_to_json(r) for s, r in req.replies.items()},
-                    "commit_replies": {s: payload_to_json(r) for s, r in req.commit_replies.items()},
-                }
-                for cid, req in state.requests.items()
-            },
-            "received": [payload_to_json(r) for r in state.received],
-        }
+            state.part = canonical_json(data)
+        return state.part
 
 
 def run(schedule: Schedule, record_trace: bool = True) -> tuple[Sim, Trace]:

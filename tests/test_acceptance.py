@@ -21,7 +21,6 @@ from ezbft_lab.core import (
     InstanceId,
     OrderingTuple,
     canonical_json,
-    compute_seq,
     interferes,
 )
 from ezbft_lab.explorer import ExploreBounds, explore
@@ -35,7 +34,7 @@ from ezbft_lab.messages import (
     payload_to_json,
 )
 from ezbft_lab.owner_change import select_safe_tuple
-from ezbft_lab.replica import ReplicaState
+from ezbft_lab.replica import SPECULATED, InstanceRecord, ReplicaState, on_client_request
 from ezbft_lab.scenarios import (
     SCENARIO_NAMES,
     artifact_text,
@@ -253,27 +252,33 @@ _instance_ids = st.builds(InstanceId, st.sampled_from(_OWNERS), st.integers(0, 3
 
 
 @st.composite
-def _known_with_deps(draw):
+def _log_with_deps(draw):
+    """A replica log of distinct commands, and the entries among them that
+    interfere with a new command on key ``k``."""
     instances = draw(st.lists(_instance_ids, max_size=8, unique=True))
-    cmd = Command("a", "c1", "k", "v")
-    known = {
-        inst: OrderingTuple(cmd, frozenset(), draw(st.integers(1, 40)))
-        for inst in instances
-    }
     if instances:
         deps = draw(st.sets(st.sampled_from(instances)))
     else:
         deps = set()
-    return known, deps
+    log = {}
+    for n, inst in enumerate(instances):
+        cmd = Command(f"x{n}", "c1", "k" if inst in deps else "other", "v")
+        t = OrderingTuple(cmd, frozenset(), draw(st.integers(1, 40)))
+        log[inst] = InstanceRecord(inst, t, 0, SPECULATED)
+    return log, deps
 
 
 @SUITE
-@given(data=_known_with_deps())
+@given(data=_log_with_deps())
 def test_criterion_8a_sequence_numbers_dominate_dependencies(data):
-    known, deps = data
-    seq = compute_seq(deps, known)
-    assert seq == max((known[d].seq for d in deps), default=0) + 1
-    assert all(seq > known[d].seq for d in deps)
+    log, deps = data
+    # Slots 0-3 may be taken by the drawn log; the proposal takes slot 4.
+    state = ReplicaState("R", next_slot=4, log=dict(log))
+    outputs, _effects = on_client_request(state, CORRECT, Command("a", "c2", "k", "v"))
+    proposal = outputs[0][1].tuple
+    assert proposal.deps == frozenset(deps)
+    assert proposal.seq == max((log[d].tuple.seq for d in deps), default=0) + 1
+    assert all(proposal.seq > log[d].tuple.seq for d in deps)
 
 
 _commands = st.builds(

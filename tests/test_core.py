@@ -6,10 +6,8 @@ from ezbft_lab.core import (
     Command,
     Config,
     InstanceId,
-    MissingDependency,
     OrderingTuple,
     canonical_json,
-    compute_seq,
     digest,
     interferes,
     tuple_sort_key,
@@ -82,23 +80,6 @@ def test_interferes_never_with_itself(cmd_a):
 def test_interferes_requires_shared_key(cmd_a):
     other = Command("c", "c1", "other-key", "v")
     assert not interferes(cmd_a, other)
-
-
-def test_compute_seq_without_deps_is_one():
-    assert compute_seq([], {}) == 1
-
-
-def test_compute_seq_is_one_past_max_dep(cmd_a, cmd_b):
-    known = {
-        InstanceId("R", 0): OrderingTuple(cmd_a, frozenset(), 3),
-        InstanceId("L", 0): OrderingTuple(cmd_b, frozenset(), 1),
-    }
-    assert compute_seq(known.keys(), known) == 4
-
-
-def test_compute_seq_rejects_dangling_dep():
-    with pytest.raises(MissingDependency):
-        compute_seq([InstanceId("R", 9)], {})
 
 
 def test_tuples_equal_ignores_dep_listing_order(cmd_a):

@@ -1,18 +1,24 @@
-"""Copy-on-write nodes and cached projections must be invisible.
+"""Installed node states never change, so the forms cached on them are
+invisible.
 
 Seeded random walks over enabled moves check, after every event, that the
-cached state key and node digests equal the values recomputed with every
-cache cleared, and that applying any enabled move to a clone leaves the
-parent's key, digests and pending messages unchanged.
+state key and node digests equal the values recomputed from fresh copies
+of every node and envelope, and that applying any enabled move to a clone
+leaves the parent's key, digests and pending messages unchanged. The walks,
+their tails and replays of the goldens also record every node object a Sim
+installs and require that none of them ever changes.
 """
 
+import dataclasses
+import json
 import random
 
 import pytest
 
 from ezbft_lab.core import Command, Config
 from ezbft_lab.explorer import ExploreBounds, _state_key, enabled_moves, extend_with_tail
-from ezbft_lab.simnet import ADVERSARY, ScheduleError, Sim, WorkItem
+from ezbft_lab.scenarios import SCENARIO_NAMES, golden_text
+from ezbft_lab.simnet import ADVERSARY, Schedule, ScheduleError, Sim, WorkItem, run
 
 CORRECT = Config(4, 1, ("R", "L", "Q", "T"))
 BYZ = Config(
@@ -36,12 +42,61 @@ def _view(sim, acted):
 
 
 def _uncached_view(sim, acted):
-    """The same view from a clone whose caches are all cleared."""
+    """The same view from a clone holding fresh copies of every node and
+    pending envelope, which carry no cached forms yet."""
     twin = sim.clone()
-    twin._parts.clear()
-    twin._digests.clear()
-    twin._tokens.clear()
+    twin.replicas = {node: state.clone() for node, state in twin.replicas.items()}
+    twin.clients = {node: state.clone() for node, state in twin.clients.items()}
+    twin._pending = {i: dataclasses.replace(env) for i, env in twin._pending.items()}
     return _view(twin, acted)
+
+
+def _snapshot(obj):
+    if isinstance(obj, list):
+        return tuple(obj)
+    if isinstance(obj, set):
+        return frozenset(obj)
+    return obj.value()
+
+
+class _Installed:
+    """Every node state, byzantine inbox and consumed set a Sim held before
+    or after an event, with its value when first seen. Holding each object
+    keeps its id from being reused."""
+
+    def __init__(self):
+        self.seen = {}
+
+    def record(self, sim):
+        for obj in (
+            *sim.replicas.values(),
+            *sim.clients.values(),
+            *sim.inboxes.values(),
+            *sim.consumed.values(),
+        ):
+            if id(obj) not in self.seen:
+                self.seen[id(obj)] = (obj, _snapshot(obj))
+
+    def assert_unchanged(self):
+        changed = [obj for obj, snap in self.seen.values() if _snapshot(obj) != snap]
+        assert not changed, f"{len(changed)} of {len(self.seen)} installed objects changed"
+
+
+@pytest.fixture
+def installed(monkeypatch):
+    """Record the nodes of every Sim around every ``Sim.apply``."""
+    log = _Installed()
+    apply = Sim.apply
+
+    def recording_apply(sim, event):
+        log.record(sim)
+        try:
+            return apply(sim, event)
+        finally:
+            log.record(sim)
+
+    monkeypatch.setattr(Sim, "apply", recording_apply)
+    return log
 
 
 def _assert_coherent(sim, acted):
@@ -51,7 +106,7 @@ def _assert_coherent(sim, acted):
 @pytest.mark.parametrize(
     "config, second_target", [(CORRECT, "Q"), (BYZ, "T")], ids=["honest", "byzantine"]
 )
-def test_cached_keys_match_recomputation_and_clones_are_isolated(config, second_target):
+def test_cached_keys_match_recomputation_and_clones_are_isolated(installed, config, second_target):
     workload = _two_commands(second_target)
     bounds = ExploreBounds(workload=workload, max_events=DEPTH)
     kinds = set()
@@ -88,6 +143,15 @@ def test_cached_keys_match_recomputation_and_clones_are_isolated(config, second_
         assert _view(sim, acted) == before
     faulty_kind = "adversary" if config.byzantine_ids else "timeout"
     assert {"deliver", "trigger_owner_change", faulty_kind} <= kinds
+    installed.assert_unchanged()
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_replaying_a_golden_never_changes_an_installed_node(installed, name):
+    schedule = Schedule.from_json(json.loads(golden_text(name, "schedule")))
+    run(schedule)
+    installed.assert_unchanged()
+    assert len(installed.seen) > len(schedule.events)
 
 
 def test_a_parent_mutated_after_cloning_leaves_the_clone_alone(cfg):

@@ -6,7 +6,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Mapping, TypeVar
+
+_Class = TypeVar("_Class", bound=type)
 
 
 def typed(value: Any, kind: type, what: str) -> Any:
@@ -35,6 +37,26 @@ def json_field(data: Any, key: str, kind: type, optional: bool = False) -> Any:
 def json_strings(data: Any, key: str) -> list[str]:
     """A required list-of-strings field."""
     return [typed(item, str, f"an item of {key!r}") for item in json_field(data, key, list)]
+
+
+def cached_hash(cls: _Class) -> _Class:
+    """Make a frozen dataclass compute its generated hash once per object.
+
+    The hash is kept in the object's ``__dict__`` outside its fields, so
+    ``==``, ``repr`` and ``dataclasses.replace`` ignore it. Composite values
+    are hashed again and again by hash-consing and memo keys; caching the
+    hash stops each of those from walking the whole value."""
+    compute = cls.__hash__
+
+    def __hash__(self: Any) -> int:
+        cache = self.__dict__
+        value = cache.get("_hash")
+        if value is None:
+            value = cache["_hash"] = compute(self)
+        return value
+
+    cls.__hash__ = __hash__  # type: ignore[assignment]
+    return cls
 
 
 @dataclass(frozen=True, order=True)
@@ -72,6 +94,7 @@ class Command:
         return cls(*(json_field(data, name, str) for name in ("id", "client", "key", "payload")))
 
 
+@cached_hash
 @dataclass(frozen=True)
 class OrderingTuple:
     """``(command, deps, seq)`` as assigned by a replica.

@@ -420,22 +420,24 @@ def extend_with_tail(sim: Sim, bounds: ExploreBounds) -> list[Event]:
     if sim.tail_start is None:
         sim.tail_start = sim.seq_no
     applied = sim.drain("tail")
+    correct = cfg.correct_replicas()
     for _round in range(DRAIN_CAP):
         fired = False
         speculated = {
             inst
-            for rid in cfg.correct_replicas()
+            for rid in correct
             for inst, rec in sim.replicas[rid].log.items()
             if rec.status == SPECULATED
         }
-        for inst in sorted(speculated, key=str):
-            conflicted = any(
-                i == inst and sel.outcome == CONFLICT
-                for rid in cfg.correct_replicas()
-                for (i, _n), sel in sim.replicas[rid].decisions.items()
-            )
-            if conflicted:
-                continue
+        # A trigger only records and sends a vote; decisions change when
+        # votes are delivered, so one scan per round sees every conflict.
+        conflicted = {
+            inst
+            for rid in correct
+            for (inst, _n), sel in sim.replicas[rid].decisions.items()
+            if sel.outcome == CONFLICT
+        }
+        for inst in sorted(speculated - conflicted, key=str):
             for rid in _trigger_targets(sim, bounds, inst):
                 event = Event(TRIGGER_OWNER_CHANGE, replica=rid, instance=inst, note="tail")
                 sim.apply(event)
@@ -511,12 +513,6 @@ def minimize(schedule: Schedule, report: ViolationReport) -> Schedule:
 # -- search ----------------------------------------------------------------
 
 
-def _acted_clients(cfg: Config, events: tuple[Event, ...]) -> frozenset[str]:
-    return frozenset(
-        e.node for e in events if e.kind == ADVERSARY and e.node in cfg.faulty_client_ids
-    )
-
-
 def _state_key(sim: Sim, acted: frozenset[str]) -> str:
     return sim.fingerprint() + "|" + ",".join(sorted(acted))
 
@@ -560,7 +556,9 @@ def explore(
     memo = TransitionMemo()
     root = Sim(config, bounds.workload, record_trace=False, seq_mode=seq_mode, memo=memo)
     seen: dict[str, int] = {_state_key(root, frozenset()): 0}
-    stack: list[tuple[tuple[Event, ...], Sim]] = [((), root)]
+    # Each entry: the path to a state, the faulty clients that acted on it
+    # and the state.
+    stack: list[tuple[tuple[Event, ...], frozenset[str], Sim]] = [((), frozenset(), root)]
     visited = deduped = terminals = 0
     aborted = False
 
@@ -570,9 +568,8 @@ def explore(
         if bounds.max_states is not None and visited >= bounds.max_states:
             aborted = True
             break
-        events, sim = stack.pop()
+        events, acted, sim = stack.pop()
         visited += 1
-        acted = _acted_clients(config, events)
         moves = enabled_moves(sim, bounds, acted) if len(events) < bounds.max_events else []
 
         if not moves:
@@ -600,26 +597,24 @@ def explore(
                 rec = child.apply(move)
             except ScheduleError:
                 continue
+            path = events + (move,)
             if cheap and any(eff.get("type") == "commit" for eff in rec["effects"]):
                 reports, _notes = run_checkers(Observations.from_sim(child), cheap)
                 for report in reports:
                     record(
-                        Schedule(
-                            config,
-                            bounds.workload,
-                            events + (move,),
-                            tail_start=None,
-                            seq_mode=seq_mode,
-                        ),
+                        Schedule(config, bounds.workload, path, tail_start=None, seq_mode=seq_mode),
                         report,
                     )
-            key = _state_key(child, _acted_clients(config, events + (move,)))
+            child_acted = acted
+            if move.kind == ADVERSARY and move.node in config.faulty_client_ids:
+                child_acted = acted | {move.node}
+            key = _state_key(child, child_acted)
             prev = seen.get(key)
             if prev is not None and prev <= depth:
                 deduped += 1
                 continue
             seen[key] = depth
-            stack.append((events + (move,), child))
+            stack.append((path, child_acted, child))
 
     return ExploreResult(
         states_visited=visited,

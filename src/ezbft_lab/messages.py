@@ -8,12 +8,22 @@ Faulty nodes may say arbitrary things but never as somebody else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Any, Callable, Mapping
+from functools import partial
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Any, Callable, Mapping, NamedTuple
 
-from .core import Command, InstanceId, OrderingTuple, OwnerNumber, canonical_json, json_field
+from .core import (
+    Command,
+    InstanceId,
+    OrderingTuple,
+    OwnerNumber,
+    cached_hash,
+    canonical_json,
+    json_field,
+)
 
 
+@cached_hash
 @dataclass(frozen=True)
 class ClientRequest:
     kind = "request"
@@ -21,6 +31,7 @@ class ClientRequest:
     command: Command
 
 
+@cached_hash
 @dataclass(frozen=True)
 class SpecOrder:
     """Speculative ordering proposal, broadcast by an instance's owner."""
@@ -32,6 +43,7 @@ class SpecOrder:
     client: str
 
 
+@cached_hash
 @dataclass(frozen=True)
 class SpecReply:
     """A replica's speculative reply; also the record certificates are built from."""
@@ -45,6 +57,7 @@ class SpecReply:
     result: str = ""
 
 
+@cached_hash
 @dataclass(frozen=True)
 class CommitCertificate:
     """A set of spec replies packaged by a client to vouch for a tuple.
@@ -108,6 +121,7 @@ class CommitCertificate:
         return None
 
 
+@cached_hash
 @dataclass(frozen=True)
 class CommitFast:
     kind = "commit_fast"
@@ -115,6 +129,7 @@ class CommitFast:
     certificate: CommitCertificate
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Commit:
     kind = "commit"
@@ -123,6 +138,7 @@ class Commit:
     certificate: CommitCertificate
 
 
+@cached_hash
 @dataclass(frozen=True)
 class CommitReply:
     kind = "commit_reply"
@@ -133,6 +149,7 @@ class CommitReply:
     result: str
 
 
+@cached_hash
 @dataclass(frozen=True)
 class OwnerChangeVote:
     """One replica's vote to move an instance into a new owner number.
@@ -150,6 +167,7 @@ class OwnerChangeVote:
     certificate: CommitCertificate | None = None
 
 
+@cached_hash
 @dataclass(frozen=True)
 class NewOwner:
     """The new owner's decision, carrying the votes that justify it."""
@@ -173,8 +191,7 @@ Payload = (
 )
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     """One point-to-point message in flight. Broadcasts are one envelope per
     recipient; ids are ``sender#counter`` and double as trace references."""
 
@@ -188,12 +205,31 @@ class Envelope:
     def kind(self) -> str:
         return self.payload.kind
 
-    @cached_property
+    @property
     def token(self) -> str:
-        """The envelope as search deduplication sees it: without id or hop."""
-        return canonical_json(
-            {"from": self.sender, "to": self.recipient, "payload": payload_to_json(self.payload)}
+        """The envelope as search deduplication sees it, without id or hop:
+        the canonical JSON of ``{"from", "to", "payload"}``, assembled from
+        the payload's cached JSON."""
+        return (
+            '{"from":'
+            + _quote(self.sender)
+            + ',"payload":'
+            + payload_json(self.payload)
+            + ',"to":'
+            + _quote(self.recipient)
+            + "}"
         )
+
+
+def payload_json(p: Payload) -> str:
+    """The canonical JSON of a payload, computed once per payload object and
+    kept in its ``__dict__`` outside its fields, so ``==``, ``repr`` and
+    node ``value()``s ignore it."""
+    cache = p.__dict__
+    text = cache.get("_json")
+    if text is None:
+        text = cache["_json"] = canonical_json(payload_to_json(p))
+    return text
 
 
 def payload_to_json(p: Payload) -> dict[str, Any]:

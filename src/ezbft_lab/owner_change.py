@@ -13,7 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-from .core import Config, InstanceId, OrderingTuple, OwnerNumber, tuple_sort_key, tuples_equal
+from .core import (
+    Config,
+    InstanceId,
+    OrderingTuple,
+    OwnerNumber,
+    cached_hash,
+    tuple_sort_key,
+    tuples_equal,
+)
 from .messages import CommitReply, NewOwner, OwnerChangeVote, SpecReply
 from .replica import Effect, Output, ReplicaState, _commit, _drop, result_for
 
@@ -26,6 +34,7 @@ class InsufficientVotes(Exception):
     """Selection needs n-f votes from distinct senders over one instance."""
 
 
+@cached_hash
 @dataclass(frozen=True)
 class CandidateTuple:
     """How much evidence one tuple has at the highest owner number."""
@@ -42,6 +51,7 @@ class CandidateTuple:
         }
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Selection:
     """Outcome of safe-tuple selection for one (instance, owner number)."""

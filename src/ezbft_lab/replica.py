@@ -16,6 +16,7 @@ from .core import (
     InstanceId,
     OrderingTuple,
     OwnerNumber,
+    cached_hash,
     interferes,
     tuples_equal,
 )
@@ -37,6 +38,7 @@ Output = tuple[str, Any]
 Effect = dict[str, Any]
 
 
+@cached_hash
 @dataclass(frozen=True)
 class InstanceRecord:
     """What one replica currently holds for one instance."""

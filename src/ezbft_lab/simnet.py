@@ -83,8 +83,7 @@ class WorkItem:
         )
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One scheduled step. Exactly the fields for its kind are set:
 
     deliver:              message (an envelope id)

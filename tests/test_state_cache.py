@@ -43,11 +43,14 @@ def _view(sim, acted):
 
 def _uncached_view(sim, acted):
     """The same view from a clone holding fresh copies of every node and
-    pending envelope, which carry no cached forms yet."""
+    pending payload, which carry no cached forms, JSON or hashes yet."""
     twin = sim.clone()
     twin.replicas = {node: state.clone() for node, state in twin.replicas.items()}
     twin.clients = {node: state.clone() for node, state in twin.clients.items()}
-    twin._pending = {i: dataclasses.replace(env) for i, env in twin._pending.items()}
+    twin._pending = {
+        i: env._replace(payload=dataclasses.replace(env.payload))
+        for i, env in twin._pending.items()
+    }
     return _view(twin, acted)
 
 

@@ -89,7 +89,7 @@ class Observations:
             selections=list(sim.selection_log),
             final_executed=final_executed,
             tail_start=sim.tail_start,
-            pending_count=len(sim.pending()),
+            pending_count=len(sim._pending),
         )
 
     @staticmethod

@@ -440,7 +440,7 @@ def extend_with_tail(sim: Sim, bounds: ExploreBounds) -> list[Event]:
         for inst in sorted(speculated - conflicted, key=str):
             for rid in _trigger_targets(sim, bounds, inst):
                 event = Event(TRIGGER_OWNER_CHANGE, replica=rid, instance=inst, note="tail")
-                sim.apply(event)
+                sim.trigger(event)
                 applied.append(event)
                 fired = True
         if not fired:
@@ -574,9 +574,8 @@ def explore(
 
         if not moves:
             terminals += 1
-            tail_sim = sim.clone()
-            tail_events = extend_with_tail(tail_sim, bounds)
-            reports, _notes = run_checkers(Observations.from_sim(tail_sim), requested)
+            tail_events = extend_with_tail(sim, bounds)
+            reports, _notes = run_checkers(Observations.from_sim(sim), requested)
             for report in reports:
                 record(
                     Schedule(

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from . import adversary as adversary_mod
 from . import client as client_mod
@@ -291,7 +292,10 @@ class TransitionMemo:
     Each entry holds the objects its key names by identity, so no identity
     is reused while the entry exists. Identities stand for values, so
     clearing is always safe: the memo starts over once it holds
-    ``MEMO_CAP`` steps.
+    ``MEMO_CAP`` steps. Starting over replaces the step table, so callers
+    go through ``lookup`` and ``store`` and keep no reference to it.
+    ``Sim._react`` computes and stores steps; ``Sim._replay`` installs
+    stored ones in an untraced drain or trigger.
     """
 
     def __init__(self) -> None:
@@ -357,9 +361,11 @@ class Sim:
 
     A Sim built with a ``TransitionMemo`` (and every clone of it) keeps
     each correct node's state canonical and runs every correct node's
-    handler step through the memo. A reused step re-emits its payloads
-    through ``_emit``, so envelope ids, hops, logs and effects are those
-    of a direct run.
+    handler step through the memo. ``apply`` re-emits a reused step's
+    payloads through ``_emit`` and returns its effects in the record. An
+    untraced ``drain`` and ``trigger`` install it through ``_replay``
+    instead, which builds no record, envelope or effects copy. Either way
+    envelope ids, hops, logs and effects are those of a direct run.
     """
 
     def __init__(
@@ -388,6 +394,8 @@ class Sim:
         self.commit_log: list[dict[str, Any]] = []
         self.selection_log: list[dict[str, Any]] = []
         self._memo = memo
+        # The nodes whose states are canonical and whose steps the memo holds.
+        self._canonical: frozenset[str] = frozenset()
 
         for item in workload:
             state = self.clients.setdefault(item.client, ClientState(item.client))
@@ -395,9 +403,10 @@ class Sim:
             self._emit(item.client, item.target, ClientRequest(item.client, item.command), hop=0)
         if memo is not None:
             faulty = cfg.byzantine_ids | cfg.faulty_client_ids
+            self._canonical = frozenset(self.replicas).union(self.clients) - faulty
             for nodes in (self.replicas, self.clients):
                 for node in nodes:
-                    if node not in faulty:
+                    if node in self._canonical:
                         nodes[node] = memo.canonical(nodes[node])
 
     def clone(self) -> "Sim":
@@ -420,6 +429,7 @@ class Sim:
         twin.commit_log = list(self.commit_log)
         twin.selection_log = list(self.selection_log)
         twin._memo = self._memo
+        twin._canonical = self._canonical
         return twin
 
     def _own(self, node: str) -> Any:
@@ -449,17 +459,83 @@ class Sim:
         return list(self._pending.values())
 
     def drain(self, note: str = "") -> list[Event]:
-        """Deliver the oldest pending envelope until none remain; returns
+        """Deliver the oldest pending message until none remain; returns
         the events applied, each carrying ``note``. Raises ScheduleError
-        when ``DRAIN_CAP`` deliveries leave messages pending."""
+        when ``DRAIN_CAP`` deliveries leave messages pending.
+
+        A traced Sim delivers through ``apply``, which records each event.
+        An untraced Sim builds no records: it moves its pending envelopes
+        into a FIFO once and delivers from there. A correct node's step
+        the memo holds is installed by ``_replay`` and its outputs queued
+        as plain ``(id, sender, recipient, payload, hop)`` tuples, with ids
+        from the sender's counter; any other delivery goes through
+        ``_receive``, as ``apply`` dispatches it. Whatever an error leaves
+        undelivered goes back to the pending pool."""
         applied: list[Event] = []
-        for _ in range(DRAIN_CAP):
-            if not self._pending:
-                return applied
-            event = Event(DELIVER, message=next(iter(self._pending)), note=note)
-            self.apply(event)
-            applied.append(event)
+        if self.record_trace:
+            for _ in range(DRAIN_CAP):
+                if not self._pending:
+                    return applied
+                event = Event(DELIVER, message=next(iter(self._pending)), note=note)
+                self.apply(event)
+                applied.append(event)
+        else:
+            counters = self.counters
+            fifo: deque[tuple[str, str, str, Any, int]] = deque(self._pending.values())
+            self._pending = {}
+            try:
+                for _ in range(DRAIN_CAP):
+                    if not fifo:
+                        return applied
+                    message = fifo.popleft()
+                    env_id, sender, node, payload, hop = message
+                    step = self._replay(node, (sender, id(payload)))
+                    if step is None:
+                        self._log_event(self._receive(*message)[1])
+                        fifo.extend(self._pending.values())
+                        self._pending = {}
+                    elif step.outputs:
+                        count = counters.get(node, 0)
+                        counters[node] = count + len(step.outputs)
+                        for recipient, out in step.outputs:
+                            fifo.append((f"{node}#{count}", node, recipient, out, hop + 1))
+                            count += 1
+                    # Positional: a NamedTuple built from keywords costs
+                    # noticeably more per tail event.
+                    applied.append(Event(DELIVER, env_id, None, None, None, None, None, None, note))
+            finally:
+                if fifo:
+                    self._pending = {m[0]: Envelope(*m) for m in fifo} | self._pending
         raise ScheduleError(f"drain did not quiesce within {DRAIN_CAP} deliveries")
+
+    def trigger(self, event: Event) -> None:
+        """Apply an owner-change trigger the way ``drain`` applies a
+        delivery: through ``apply`` when tracing, else without a record,
+        by ``_replay`` when the memo holds the step and by ``apply``'s
+        dispatch otherwise."""
+        if self.record_trace:
+            self.apply(event)
+            return
+        step = self._replay(event.replica, (TRIGGER_OWNER_CHANGE, event.instance))
+        if step is None:
+            self._log_event(self._apply_trigger(event)[1])
+        else:
+            self._wrap(event.replica, step.outputs, 0)
+
+    def _replay(self, node: str, key: tuple) -> _Step | None:
+        """Install a memoized step without building a record: when the
+        memo holds the step of canonical ``node`` for ``key``, install the
+        stored result state, log the stored effects as event ``seq_no``
+        and return the step, whose outputs the caller emits. Otherwise
+        change nothing and return None."""
+        if node not in self._canonical:
+            return None
+        nodes: dict[str, Any] = self.clients if node in self.clients else self.replicas
+        step = self._memo.lookup(nodes[node], key)
+        if step is not None:
+            nodes[node] = step.after
+            self._log_event(step.effects)
+        return step
 
     def _wrap(self, sender: str, outputs: list[tuple[str, Any]], hop: int) -> list[Envelope]:
         return [self._emit(sender, recipient, payload, hop) for recipient, payload in outputs]
@@ -495,14 +571,19 @@ class Sim:
         env = self._pending.pop(env_id, None)
         if env is None:
             raise ScheduleError(f"message {env_id!r} is not pending (unknown or already delivered)")
-        node = env.recipient
+        return self._receive(*env)
 
+    def _receive(
+        self, env_id: str, sender: str, node: str, payload: Any, hop: int
+    ) -> tuple[list[Envelope], list[dict[str, Any]]]:
+        """Hand a message taken from the pool to its recipient; every
+        delivery rule lives here."""
         if node in self.cfg.byzantine_ids:
             self._own(node)
-            self.inboxes[node].append((env.sender, env.payload))
-            return [], [{"type": "inbox", "node": node, "from": env.sender, "kind": env.kind}]
+            self.inboxes[node].append((sender, payload))
+            return [], [{"type": "inbox", "node": node, "from": sender, "kind": payload.kind}]
 
-        cfg, sender, payload = self.cfg, env.sender, env.payload
+        cfg = self.cfg
         key = (sender, id(payload))
         if node in cfg.replica_ids:
             try:
@@ -511,7 +592,7 @@ class Sim:
                     key,
                     payload,
                     lambda state: adversary_mod.honest_step(state, cfg, sender, payload),
-                    env.hop + 1,
+                    hop + 1,
                 )
             except adversary_mod.BadChoice as exc:
                 raise ScheduleError(f"message {env_id!r} cannot be delivered: {exc}") from exc
@@ -523,7 +604,7 @@ class Sim:
                     client_mod.record_reply(state, payload)
                 elif isinstance(payload, CommitReply):
                     client_mod.record_commit_reply(state, payload)
-                return [], [{"type": "recorded", "node": node, "kind": env.kind}]
+                return [], [{"type": "recorded", "node": node, "kind": payload.kind}]
             if isinstance(payload, SpecReply):
                 handler = client_mod.on_spec_reply
             elif isinstance(payload, CommitReply):
@@ -535,7 +616,7 @@ class Sim:
                 key,
                 payload,
                 lambda state: handler(state, cfg, payload),
-                env.hop + 1,
+                hop + 1,
             )
 
         raise ScheduleError(f"message {env_id!r} addressed to unknown node {node!r}")
@@ -556,15 +637,11 @@ class Sim:
         else:
             raise ScheduleError(f"unknown event kind {event.kind!r}")
 
-        for eff in effects:
-            if eff.get("type") == "commit":
-                self.commit_log.append({**eff, "seq_no": self.seq_no})
-            elif eff.get("type") == "selection":
-                self.selection_log.append({**eff, "seq_no": self.seq_no})
-
+        seq_no = self.seq_no
+        self._log_event(effects)
         if self.record_trace:
             record = {
-                "seq_no": self.seq_no,
+                "seq_no": seq_no,
                 "kind": event.kind,
                 "event": event.to_json(),
                 "emitted": [envelope_to_json(e) for e in emitted],
@@ -573,9 +650,18 @@ class Sim:
             }
             self.records.append(record)
         else:
-            record = {"seq_no": self.seq_no, "kind": event.kind, "effects": effects}
-        self.seq_no += 1
+            record = {"seq_no": seq_no, "kind": event.kind, "effects": effects}
         return record
+
+    def _log_event(self, effects: Iterable[dict[str, Any]]) -> None:
+        """Log an event's commit and selection effects at its seq number,
+        then advance ``seq_no``."""
+        for eff in effects:
+            if eff.get("type") == "commit":
+                self.commit_log.append({**eff, "seq_no": self.seq_no})
+            elif eff.get("type") == "selection":
+                self.selection_log.append({**eff, "seq_no": self.seq_no})
+        self.seq_no += 1
 
     def _apply_timeout(self, event: Event) -> tuple[list[Envelope], list[dict[str, Any]]]:
         if event.client not in self.clients:

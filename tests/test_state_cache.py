@@ -6,7 +6,8 @@ state key and node digests equal the values recomputed from fresh copies
 of every node and envelope, and that applying any enabled move to a clone
 leaves the parent's key, digests and pending messages unchanged. The walks,
 their tails and replays of the goldens also record every node object a Sim
-installs and require that none of them ever changes.
+holds around each event and each drain, and require that none of them
+ever changes.
 """
 
 import dataclasses
@@ -87,18 +88,23 @@ class _Installed:
 
 @pytest.fixture
 def installed(monkeypatch):
-    """Record the nodes of every Sim around every ``Sim.apply``."""
+    """Record the nodes of every Sim around every ``Sim.apply``, and around
+    every untraced tail step, which ``Sim.drain`` and ``Sim.trigger`` take
+    without ``apply``."""
     log = _Installed()
-    apply = Sim.apply
 
-    def recording_apply(sim, event):
-        log.record(sim)
-        try:
-            return apply(sim, event)
-        finally:
+    def recording(method):
+        def wrapper(sim, *args):
             log.record(sim)
+            try:
+                return method(sim, *args)
+            finally:
+                log.record(sim)
 
-    monkeypatch.setattr(Sim, "apply", recording_apply)
+        return wrapper
+
+    for name in ("apply", "drain", "trigger"):
+        monkeypatch.setattr(Sim, name, recording(getattr(Sim, name)))
     return log
 
 

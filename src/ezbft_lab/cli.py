@@ -68,6 +68,8 @@ def _build_workload(
     first command goes to the first replica; the second goes to the first
     byzantine replica when one exists (so its request can be swallowed),
     else to the third replica; later ones round-robin."""
+    if count < 1:
+        raise ValueError("--commands must be at least 1")
     if count > len(_COMMAND_NAMES):
         raise ValueError(f"at most {len(_COMMAND_NAMES)} commands supported")
     byz = sorted(cfg.byzantine_ids)

@@ -46,15 +46,16 @@ class PendingRequest:
 
 @dataclass
 class ClientState:
-    """One client's local state. Like ``ReplicaState`` it carries its dedup
-    projection ``part`` and trace ``digest``, filled on first use."""
+    """One client's local state. Like ``ReplicaState`` it carries its part
+    of the search ``key`` and its trace ``digest``, filled by the Sim on
+    first use."""
 
     id: str
     requests: dict[str, PendingRequest] = field(default_factory=dict)
     # Every spec reply ever delivered to this client, in arrival order.
     # This is the ground truth for what a faulty client may package.
     received: list[SpecReply] = field(default_factory=list)
-    part: str | None = field(default=None, init=False, compare=False, repr=False)
+    key: tuple | None = field(default=None, init=False, compare=False, repr=False)
     digest: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def clone(self) -> "ClientState":
@@ -65,28 +66,31 @@ class ClientState:
         )
 
     def value(self) -> tuple:
-        """The state as one hashable value of its frozen parts, dict and
-        arrival order included: equal values are equal states."""
+        """The state as one hashable value of its frozen parts: dicts
+        sorted by key, ``received`` last and in arrival order. Equal values
+        are equal states."""
         return (
             ClientState,
             self.id,
             tuple(
-                (
-                    command_id,
-                    req.command,
-                    req.target,
-                    req.phase,
-                    req.timer_armed,
-                    tuple(req.replies.items()),
-                    tuple(req.commit_replies.items()),
+                sorted(
+                    (
+                        command_id,
+                        req.command,
+                        req.target,
+                        req.phase,
+                        req.timer_armed,
+                        tuple(sorted(req.replies.items())),
+                        tuple(sorted(req.commit_replies.items())),
+                    )
+                    for command_id, req in self.requests.items()
                 )
-                for command_id, req in self.requests.items()
             ),
             tuple(self.received),
         )
 
     def to_json(self) -> dict[str, Any]:
-        """The state as trace digests and dedup projections see it."""
+        """The state as trace digests see it."""
         return {
             "id": self.id,
             "requests": {

@@ -2,8 +2,8 @@
 
 From a fixed workload, the explorer enumerates every interleaving of
 message deliveries, client timeouts, owner-change triggers, and adversary
-branch points up to a depth bound, deduplicating states by a content
-digest so commuting orders collapse. Every terminal state is completed
+branch points up to a depth bound, deduplicating states by a hash of
+their value so commuting orders collapse. Every terminal state is completed
 with a deterministic synchronous tail (deliver everything, let owner
 changes finish) and checked; commit points are additionally checked
 mid-run. Each finding comes back as a machine-checkable report paired
@@ -91,6 +91,8 @@ class ExploreBounds:
             raise ValueError("max_owner_changes_per_instance must be nonnegative")
         if self.byzantine_branch_tuples < 0:
             raise ValueError("byzantine_branch_tuples must be nonnegative")
+        if self.max_states is not None and self.max_states < 0:
+            raise ValueError("max_states must be nonnegative")
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -513,8 +515,11 @@ def minimize(schedule: Schedule, report: ViolationReport) -> Schedule:
 # -- search ----------------------------------------------------------------
 
 
-def _state_key(sim: Sim, acted: frozenset[str]) -> str:
-    return sim.fingerprint() + "|" + ",".join(sorted(acted))
+def _state_key(sim: Sim, acted: frozenset[str]) -> int:
+    """The 64-bit hash of a state's fingerprint and the faulty clients that
+    acted on it. ``seen`` holds these fixed-size fingerprints, as TLC does,
+    because exact keys would keep every pending multiset alive."""
+    return hash((sim.fingerprint(), acted))
 
 
 def explore(
@@ -525,9 +530,11 @@ def explore(
 ) -> ExploreResult:
     """Depth-first enumeration of every schedule within ``bounds``,
     checking the requested properties (default: all). States already seen
-    at an equal or shallower depth are pruned by content digest. The
+    at an equal or shallower depth are pruned by state key. The
     search stops early once every requested property has a finding; it
-    reports exhausted=True only when the full bounded space was covered."""
+    reports exhausted=True only when the full bounded space was covered.
+    Raises ValueError for an unknown property, a faulty client without a
+    workload item or a workload target that is not a replica."""
     start = time.monotonic()
     requested = (
         tuple(p for p in CHECKER_ORDER if p in set(properties))
@@ -538,6 +545,14 @@ def explore(
         unknown = sorted(set(properties) - set(CHECKERS))
         if unknown:
             raise ValueError(f"unknown properties: {', '.join(unknown)}")
+    # A faulty client without a request never acts, and a request to no
+    # replica is never delivered: either would make a clean verdict vacuous.
+    idle = sorted(config.faulty_client_ids - {item.client for item in bounds.workload})
+    if idle:
+        raise ValueError(f"faulty clients without a workload item: {', '.join(idle)}")
+    lost = sorted({item.target for item in bounds.workload} - set(config.replica_ids))
+    if lost:
+        raise ValueError(f"workload targets that are not replicas: {', '.join(lost)}")
     cheap = tuple(p for p in requested if p != LIVENESS)
     found: dict[str, tuple[ViolationReport, Schedule]] = {}
 
@@ -555,7 +570,7 @@ def explore(
 
     memo = TransitionMemo()
     root = Sim(config, bounds.workload, record_trace=False, seq_mode=seq_mode, memo=memo)
-    seen: dict[str, int] = {_state_key(root, frozenset()): 0}
+    seen: dict[int, int] = {_state_key(root, frozenset()): 0}
     # Each entry: the path to a state, the faulty clients that acted on it
     # and the state.
     stack: list[tuple[tuple[Event, ...], frozenset[str], Sim]] = [((), frozenset(), root)]

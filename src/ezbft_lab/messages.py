@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, Mapping, NamedTuple
 
 from .core import (
@@ -18,7 +17,6 @@ from .core import (
     OrderingTuple,
     OwnerNumber,
     cached_hash,
-    canonical_json,
     json_field,
 )
 
@@ -204,32 +202,6 @@ class Envelope(NamedTuple):
     @property
     def kind(self) -> str:
         return self.payload.kind
-
-    @property
-    def token(self) -> str:
-        """The envelope as search deduplication sees it, without id or hop:
-        the canonical JSON of ``{"from", "to", "payload"}``, assembled from
-        the payload's cached JSON."""
-        return (
-            '{"from":'
-            + _quote(self.sender)
-            + ',"payload":'
-            + payload_json(self.payload)
-            + ',"to":'
-            + _quote(self.recipient)
-            + "}"
-        )
-
-
-def payload_json(p: Payload) -> str:
-    """The canonical JSON of a payload, computed once per payload object and
-    kept in its ``__dict__`` outside its fields, so ``==``, ``repr`` and
-    node ``value()``s ignore it."""
-    cache = p.__dict__
-    text = cache.get("_json")
-    if text is None:
-        text = cache["_json"] = canonical_json(payload_to_json(p))
-    return text
 
 
 def payload_to_json(p: Payload) -> dict[str, Any]:

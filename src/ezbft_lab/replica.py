@@ -55,10 +55,13 @@ class ReplicaState:
     """One replica's full local state. Values held in containers are frozen,
     so cloning is a shallow copy of the containers.
 
+    ``value()`` is the state's one identity: the transition memo
+    hash-conses states by it and the search's state key is built from it.
     A Sim never changes a state once it installed it, so the state carries
-    its derived forms: ``part`` (the dedup projection, which for a byzantine
-    replica includes its inbox) and ``digest`` (the trace digest), filled
-    on first use. Neither is a constructor option or part of ``value()``."""
+    its derived forms: ``key`` (its part of the search key, which for a
+    byzantine replica includes its inbox) and ``digest`` (the trace
+    digest), filled by the Sim on first use. Neither is a constructor
+    option or part of ``value()``."""
 
     id: str
     next_slot: int = 0
@@ -76,7 +79,7 @@ class ReplicaState:
     # Execution artifacts, rebuilt by replay() whenever the log changes.
     executed: tuple[tuple[str, tuple[str, ...], int], ...] = ()
     kv: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    part: str | None = field(default=None, init=False, compare=False, repr=False)
+    key: tuple | None = field(default=None, init=False, compare=False, repr=False)
     digest: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def clone(self) -> "ReplicaState":
@@ -94,24 +97,26 @@ class ReplicaState:
         )
 
     def value(self) -> tuple:
-        """The state as one hashable value of its frozen parts, dict order
-        included: equal values are equal states."""
+        """The state as one hashable value of its frozen parts. Dicts and
+        ``voted`` are sorted by key, so insertion order, on which no
+        handler's result depends, is not part of it: equal values are
+        equal states."""
         return (
             ReplicaState,
             self.id,
             self.next_slot,
-            tuple(self.log.items()),
-            tuple(self.sent_replies.items()),
-            tuple(self.owner_numbers.items()),
-            tuple((key, tuple(votes.items())) for key, votes in self.votes.items()),
-            tuple(self.decisions.items()),
-            frozenset(self.voted),
+            tuple(sorted(self.log.items())),
+            tuple(sorted(self.sent_replies.items())),
+            tuple(sorted(self.owner_numbers.items())),
+            tuple(sorted((key, tuple(sorted(votes.items()))) for key, votes in self.votes.items())),
+            tuple(sorted(self.decisions.items())),
+            tuple(sorted(self.voted)),
             self.executed,
-            tuple(self.kv.items()),
+            tuple(sorted(self.kv.items())),
         )
 
     def to_json(self) -> dict[str, Any]:
-        """The state as trace digests and dedup projections see it."""
+        """The state as trace digests see it."""
         return {
             "id": self.id,
             "next_slot": self.next_slot,

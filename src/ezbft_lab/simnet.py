@@ -18,9 +18,8 @@ Delivery semantics by recipient:
 
 from __future__ import annotations
 
-import hashlib
 import json
-from collections import deque
+from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
@@ -39,14 +38,7 @@ from .core import (
     json_field,
     json_strings,
 )
-from .messages import (
-    ClientRequest,
-    CommitReply,
-    Envelope,
-    SpecReply,
-    envelope_to_json,
-    payload_to_json,
-)
+from .messages import ClientRequest, CommitReply, Envelope, SpecReply, envelope_to_json
 from .replica import ReplicaState
 from .adversary import ByzantineChoice, FaultyClientChoice
 
@@ -280,7 +272,9 @@ class TransitionMemo:
 
     Node states and the payloads steps emit are hash-consed: a state's
     ``value()`` (or a payload itself) maps to one canonical object, so
-    equal values share that object and the derived forms it carries. No
+    equal values share that object and the derived forms it carries.
+    ``value()`` ignores dict order, so states that differ only in the
+    order their dicts were filled share one object and one set of steps. No
     Sim changes an installed state, so no canonical state ever changes. A
     step is keyed by the identity of its canonical input state plus the
     event's input: sender and payload identity for a delivery, the
@@ -355,9 +349,8 @@ class Sim:
     the handler changed or the memo's canonical result. A byzantine
     replica's inbox and consumed set are replaced together with its state.
     Installed objects can therefore be shared freely, and each carries its
-    own dedup projection and trace digest (and each envelope its dedup
-    token), so fingerprints and trace digests are computed only for what
-    an event installed.
+    own part of the search key and its trace digest, so fingerprints and
+    trace digests are computed only for what an event installed.
 
     A Sim built with a ``TransitionMemo`` (and every clone of it) keeps
     each correct node's state canonical and runs every correct node's
@@ -727,40 +720,40 @@ class Sim:
             digests[node] = state.digest
         return digests
 
-    def fingerprint(self) -> str:
-        """Identity of this state for search deduplication: node states,
-        byzantine inboxes and the pending multiset, without envelope ids.
+    def fingerprint(self) -> tuple:
+        """Identity of this state for search deduplication, as an exact
+        value: every node's ``value()`` and the pending pool as a multiset
+        of ``(sender, recipient, payload)``, without envelope ids or hops.
 
-        Arrival orders that cannot influence future behavior (a client's
-        received-reply history, inbox item order) are sorted away so that
-        commuting delivery interleavings collapse to one search state. The
-        parts are canonical JSON, which never contains a newline, so the
-        newline-joined digest input is unambiguous.
+        Arrival orders that cannot influence future behavior are made
+        multisets too, so that commuting delivery interleavings collapse to
+        one search state: a client's received replies and a byzantine
+        replica's inbox of ``(sender, payload, consumed)``. Each node's part
+        is cached on its state in ``key``.
         """
         nodes = (*self.replicas.items(), *self.clients.items())
-        parts = [self._part(node, state) for node, state in nodes]
-        parts += sorted(env.token for env in self._pending.values())
-        return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
+        parts = tuple(self._key(node, state) for node, state in nodes)
+        return parts, _multiset(env[1:4] for env in self._pending.values())
 
-    def _part(self, node: str, state: Any) -> str:
-        """The dedup projection of one node, cached on its state."""
-        if state.part is None:
-            data = state.to_json()
+    def _key(self, node: str, state: Any) -> tuple:
+        """One node's part of the fingerprint, cached on its state."""
+        if state.key is None:
+            value = state.value()
             if node in self.clients:
-                data["received"] = sorted(canonical_json(r) for r in data["received"])
+                # value() ends with the received replies in arrival order.
+                state.key = value[:-1] + (_multiset(state.received),)
             elif node in self.inboxes:
                 consumed = self.consumed[node]
-                data = {
-                    "state": data,
-                    "inbox": sorted(
-                        canonical_json(
-                            {"from": s, "payload": payload_to_json(p), "consumed": i in consumed}
-                        )
-                        for i, (s, p) in enumerate(self.inboxes[node])
-                    ),
-                }
-            state.part = canonical_json(data)
-        return state.part
+                inbox = self.inboxes[node]
+                state.key = value, _multiset((s, p, i in consumed) for i, (s, p) in enumerate(inbox))
+            else:
+                state.key = value
+        return state.key
+
+
+def _multiset(items: Iterable[Any]) -> frozenset:
+    """Hashable items as an order-free multiset."""
+    return frozenset(Counter(items).items())
 
 
 def run(schedule: Schedule, record_trace: bool = True) -> tuple[Sim, Trace]:

@@ -99,6 +99,24 @@ def test_explore_minimized_schedule_replays_through_the_cli(tmp_path):
     assert main(["replay", str(schedule), "--check", "agreement"]) == 2
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--commands", "0"], "--commands must be at least 1"),
+        (["--commands", "-3"], "--commands must be at least 1"),
+        (["--faulty-clients", "c9"], "faulty clients without a workload item: c9"),
+        (["--faulty-clients", "R"], "faulty clients without a workload item: R"),
+        (["--max-states", "-5"], "max_states must be nonnegative"),
+        (["--targets", "Z"], "workload targets that are not replicas: Z"),
+    ],
+)
+def test_explore_input_that_would_give_a_vacuous_verdict_is_an_error(capsys, args, message):
+    assert main(["explore", "--max-events", "2", *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_usage_errors_exit_one():
     assert main([]) == 1
     assert main(["frobnicate"]) == 1

@@ -5,8 +5,14 @@ divergence) live in the acceptance suite; these tests pin the fast cases
 and the minimizer's contract.
 """
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+import ezbft_lab
 from ezbft_lab.checkers import Observations, run_checkers
 from ezbft_lab.core import Command, Config
 from ezbft_lab.explorer import (
@@ -56,12 +62,27 @@ def test_bounds_reject_negatives():
         ExploreBounds(workload=(), max_events=4, max_owner_changes_per_instance=-2)
     with pytest.raises(ValueError):
         ExploreBounds(workload=(), max_events=4, byzantine_branch_tuples=-1)
+    with pytest.raises(ValueError):
+        ExploreBounds(workload=(), max_events=4, max_states=-5)
 
 
 def test_explore_rejects_unknown_properties():
     bounds = ExploreBounds(workload=_one_command(), max_events=2)
     with pytest.raises(ValueError):
         explore(CORRECT, bounds, properties=["agreement", "latency"])
+
+
+@pytest.mark.parametrize("faulty", ["c9", "R"])
+def test_explore_rejects_faulty_clients_without_a_workload_item(faulty):
+    config = Config(4, 1, CORRECT.replica_ids, faulty_client_ids=frozenset({faulty}))
+    with pytest.raises(ValueError, match=f"without a workload item: {faulty}"):
+        explore(config, ExploreBounds(workload=_two_commands("Q"), max_events=2))
+
+
+def test_explore_rejects_workload_targets_that_are_not_replicas():
+    workload = _workload(("c1", Command("a", "c1", "k", "va"), "c2"))
+    with pytest.raises(ValueError, match="not replicas: c2"):
+        explore(CORRECT, ExploreBounds(workload=workload, max_events=2))
 
 
 def test_explore_empty_workload_is_trivially_exhausted():
@@ -111,6 +132,46 @@ def test_explore_is_deterministic():
     assert first.states_visited == second.states_visited
     assert [(r.to_json(), s.to_json()) for r, s in first.violations] == [
         (r.to_json(), s.to_json()) for r, s in second.violations
+    ]
+
+
+_SEARCH_IN_A_FRESH_PROCESS = """
+import json
+from ezbft_lab.core import Command, Config
+from ezbft_lab.explorer import ExploreBounds, explore
+from ezbft_lab.simnet import WorkItem
+
+workload = (
+    WorkItem("c1", Command("a", "c1", "k", "va"), "R"),
+    WorkItem("c2", Command("b", "c2", "k", "vb"), "Q"),
+)
+bounds = ExploreBounds(workload=workload, max_events=7)
+result = explore(Config(4, 1, ("R", "L", "Q", "T")), bounds, ["execution_consistency"]).to_json()
+del result["elapsed_seconds"]
+print(json.dumps({"salt": hash("R"), "result": result}, sort_keys=True))
+"""
+
+
+def test_search_outcome_does_not_depend_on_the_hash_seed():
+    """State keys are Python hashes, and string hashes are salted per
+    process: two processes with different seeds must prune the same states
+    and find the same violation with the same minimized schedule."""
+    src = os.path.dirname(os.path.dirname(ezbft_lab.__file__))
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-c", _SEARCH_IN_A_FRESH_PROCESS],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        outputs.append(json.loads(done.stdout))
+    first, second = outputs
+    assert first["salt"] != second["salt"]
+    assert first["result"] == second["result"]
+    assert first["result"]["states_deduped"] > 0
+    assert [v["report"]["property"] for v in first["result"]["violations"]] == [
+        "execution_consistency"
     ]
 
 

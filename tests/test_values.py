@@ -1,17 +1,21 @@
 """Cheap immutable values must behave like the values they stand for.
 
-Envelopes build their dedup token from their payload's cached JSON, and
-composite frozen values cache their hash. Seeded walks (the synchronous
-tail included) check, at every step, that each pending envelope's token
-equals the canonical JSON of its sender, recipient and payload, and that
-every cached-hash value reachable from the nodes and the pending messages
-hashes like a freshly built equal copy and like the tuple of its fields.
-A walk on replica and client ids holding quotes, backslashes and
-non-ASCII characters pins the escaping.
+Composite frozen values cache their hash, and the search key hashes node
+values and pending ``(sender, recipient, payload)`` tokens built from
+them. Seeded walks (the synchronous tail included) check, at every step,
+that each pending envelope's token equals and hashes like a freshly built
+copy, and that every cached-hash value reachable from the nodes and the
+pending messages hashes like a freshly built equal copy and like the
+tuple of its fields. A walk on replica and client ids holding quotes,
+backslashes and non-ASCII characters covers odd ids.
+
+The search key must also identify states exactly as the canonical-JSON
+projection it replaced did: over every state of small searches and
+seeded walks in four fault configs, two fingerprints are equal exactly
+when the reference projections are.
 """
 
 import dataclasses
-import hashlib
 import json
 import random
 
@@ -122,10 +126,9 @@ def _reachable(value, out):
 
 def _check_values(sim, seen_types):
     for env in sim.pending():
-        expected = canonical_json(
-            {"from": env.sender, "to": env.recipient, "payload": payload_to_json(env.payload)}
-        )
-        assert env.token == expected
+        token = env[1:4]
+        fresh = (env.sender, env.recipient, _fresh(env.payload))
+        assert token == fresh and hash(token) == hash(fresh)
     values = {}
     _reachable(tuple(env.payload for env in sim.pending()), values)
     for state in (*sim.replicas.values(), *sim.clients.values()):
@@ -179,18 +182,6 @@ def test_tokens_and_cached_hashes_match_fresh_values(config, workload, unreached
     assert seen_types == set(CACHED_HASH) - unreached
 
 
-def test_escaped_ids_give_the_same_tokens_as_json_dumps():
-    payload = ClientRequest('c"1', Command("a", 'c"1', "k\\", "vé☃\n"))
-    env = Envelope('c"1#0', 'c"1', "Ré", payload, 0)
-    expected = json.dumps(
-        {"from": 'c"1', "to": "Ré", "payload": payload_to_json(payload)},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    assert env.token == expected
-    assert env.token.isascii()
-
-
 def test_events_and_envelopes_reject_attribute_assignment():
     event = Event(DELIVER, message="c1#0")
     env = Envelope("c1#0", "c1", "R", ClientRequest("c1", Command("a", "c1", "k", "va")), 0)
@@ -239,32 +230,114 @@ def test_events_round_trip_through_json():
         assert Event.from_json(event.to_json()) == event
 
 
-# The first 50 state keys of the honest-exhaust search (b to Q, max_events
-# 5). Cheaper events, envelopes, tokens or hashes must leave the dedup
-# projection, and so these keys, unchanged.
-FIRST_KEYS = 50
-FIRST_KEY = "5140cc9e12084d47|"
-LAST_KEY = "9f71455556c8f43f|"
-KEYS_SHA256 = "5e6a9048df90d9461d1e9042ab6d06a0f849ac774c400f8c3771bad2f68bbbab"
 
 
-class _Enough(Exception):
-    pass
+# The four fault configs of the lean-drain tests: none, a byzantine
+# replica, a faulty client, and both.
+FAULT_CONFIGS = {
+    "honest": CORRECT,
+    "byzantine": Config(4, 1, CORRECT.replica_ids, byzantine_ids=frozenset({"T"})),
+    "faulty-client": Config(4, 1, CORRECT.replica_ids, faulty_client_ids=frozenset({"c1"})),
+    "both": BYZ,
+}
+KEY_SEARCH_DEPTH = 4
+KEY_WALKS = 6
+KEY_WALK_DEPTH = 10
 
 
-def test_first_state_keys_of_a_fixed_search_are_pinned(monkeypatch):
-    keys = []
-    state_key = explorer._state_key
+def _reference_projection(sim):
+    """The dedup projection the fingerprint replaced: each node's canonical
+    JSON, with a client's received replies sorted and a byzantine
+    replica's inbox sorted with its consumed flags, then the sorted
+    canonical JSON of every pending message without id or hop."""
+    parts = []
+    for node, state in (*sim.replicas.items(), *sim.clients.items()):
+        data = state.to_json()
+        if node in sim.clients:
+            data["received"] = sorted(canonical_json(r) for r in data["received"])
+        elif node in sim.inboxes:
+            consumed = sim.consumed[node]
+            data = {
+                "state": data,
+                "inbox": sorted(
+                    canonical_json(
+                        {"from": s, "payload": payload_to_json(p), "consumed": i in consumed}
+                    )
+                    for i, (s, p) in enumerate(sim.inboxes[node])
+                ),
+            }
+        parts.append(canonical_json(data))
+    parts += sorted(
+        canonical_json({"from": e.sender, "to": e.recipient, "payload": payload_to_json(e.payload)})
+        for e in sim.pending()
+    )
+    return "\n".join(parts)
 
-    def recording(sim, acted):
-        keys.append(state_key(sim, acted))
-        if len(keys) == FIRST_KEYS:
-            raise _Enough
-        return keys[-1]
 
-    monkeypatch.setattr(explorer, "_state_key", recording)
-    bounds = ExploreBounds(workload=_two_commands(CORRECT, "Q"), max_events=5)
-    with pytest.raises(_Enough):
-        explore(CORRECT, bounds, ("agreement", "validity", "liveness"))
-    assert (keys[0], keys[-1]) == (FIRST_KEY, LAST_KEY)
-    assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == KEYS_SHA256
+def _key_and_reference(sim):
+    return sim.fingerprint(), _reference_projection(sim)
+
+
+def _search_states(monkeypatch, config, workload):
+    """Every state a small search keys, and every terminal after its tail."""
+    states = []
+    state_key, tail = explorer._state_key, explorer.extend_with_tail
+
+    def recording_key(sim, acted):
+        states.append(_key_and_reference(sim))
+        return state_key(sim, acted)
+
+    def recording_tail(sim, bounds):
+        events = tail(sim, bounds)
+        states.append(_key_and_reference(sim))
+        return events
+
+    with monkeypatch.context() as patch:
+        patch.setattr(explorer, "_state_key", recording_key)
+        patch.setattr(explorer, "extend_with_tail", recording_tail)
+        explore(config, ExploreBounds(workload=workload, max_events=KEY_SEARCH_DEPTH))
+    return states
+
+
+def _walk_states(config, workload):
+    """Every state of seeded walks that share one memo, and each walk's
+    end state after its tail."""
+    bounds = ExploreBounds(workload=workload, max_events=KEY_WALK_DEPTH)
+    memo = TransitionMemo()
+    states = []
+    for seed in range(KEY_WALKS):
+        rng = random.Random(seed)
+        sim = Sim(config, workload, memo=memo)
+        acted = frozenset()
+        states.append(_key_and_reference(sim))
+        for _step in range(KEY_WALK_DEPTH):
+            children = []
+            for move in enabled_moves(sim, bounds, acted):
+                child = sim.clone()
+                try:
+                    child.apply(move)
+                except ScheduleError:
+                    continue
+                children.append((move, child))
+            if not children:
+                break
+            move, sim = rng.choice(children)
+            if move.kind == ADVERSARY and move.node in config.faulty_client_ids:
+                acted = acted | {move.node}
+            states.append(_key_and_reference(sim))
+        extend_with_tail(sim, bounds)
+        states.append(_key_and_reference(sim))
+    return states
+
+
+@pytest.mark.parametrize("name", sorted(FAULT_CONFIGS))
+def test_fingerprints_are_equal_exactly_when_reference_projections_are(monkeypatch, name):
+    config = FAULT_CONFIGS[name]
+    workload = _two_commands(config, "T")
+    states = _search_states(monkeypatch, config, workload) + _walk_states(config, workload)
+    by_key, by_reference = {}, {}
+    for key, reference in states:
+        assert by_key.setdefault(key, reference) == reference
+        assert by_reference.setdefault(reference, key) == key
+    # Not vacuous: some states are met twice, and many are distinct.
+    assert 100 < len(by_key) < len(states)

@@ -154,7 +154,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     for report, schedule in result.violations:
         print(f"violation {report.property}: {report.details}")
         print(f"  minimized schedule: {len(schedule.events)} events")
-    if not result.violations:
+    if not result.violations and result.exhausted:
         print("no violations")
 
     if args.out:
@@ -179,6 +179,12 @@ def _cmd_explore(args: argparse.Namespace) -> int:
                 fh.write("\n")
             print(f"wrote {sched_path}")
             print(f"wrote {report_path}")
+    if not result.violations and not result.exhausted:
+        # Only --max-states stops a search that found nothing; 0 means clean.
+        raise ExploreError(
+            f"search stopped after {result.states_visited} states (--max-states) "
+            "before exhausting its bounds"
+        )
     return 2 if result.violations else 0
 
 

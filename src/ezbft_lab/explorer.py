@@ -38,12 +38,11 @@ from .core import (
     Config,
     InstanceId,
     OrderingTuple,
-    canonical_json,
     interferes,
     tuple_sort_key,
     tuples_equal,
 )
-from .messages import ClientRequest, CommitCertificate, SpecOrder, SpecReply, payload_to_json
+from .messages import ClientRequest, CommitCertificate, SpecOrder, SpecReply
 from .owner_change import CONFLICT
 from .simnet import (
     ADVERSARY,
@@ -57,6 +56,7 @@ from .simnet import (
     Sim,
     TransitionMemo,
     WorkItem,
+    run,
 )
 
 
@@ -290,15 +290,14 @@ def _certificate_universe(
     replies it actually holds: fast (all n identical), uniform slow (2f+1
     identical), and mixed slow (f+1 of one tuple plus f of another)."""
     certs: list[CommitCertificate] = []
-    seen: set[str] = set()
+    # A valid certificate's replies come from distinct senders, sorted by
+    # sender, so equal certificates hold equal reply sets.
+    seen: set[CommitCertificate] = set()
 
     def add(kind: str, replies: list[SpecReply]) -> None:
         cert = CommitCertificate(kind, tuple(sorted(replies, key=lambda r: r.sender)))
-        marker = canonical_json(
-            {"kind": kind, "replies": sorted(canonical_json(payload_to_json(r)) for r in replies)}
-        )
-        if marker not in seen and cert.validate(cfg.n, cfg.f) is None:
-            seen.add(marker)
+        if cert not in seen and cert.validate(cfg.n, cfg.f) is None:
+            seen.add(cert)
             certs.append(cert)
 
     groups = _reply_groups(state_received, command_id)
@@ -442,7 +441,7 @@ def extend_with_tail(sim: Sim, bounds: ExploreBounds) -> list[Event]:
         for inst in sorted(speculated - conflicted, key=str):
             for rid in _trigger_targets(sim, bounds, inst):
                 event = Event(TRIGGER_OWNER_CHANGE, replica=rid, instance=inst, note="tail")
-                sim.trigger(event)
+                sim.apply(event)
                 applied.append(event)
                 fired = True
         if not fired:
@@ -454,15 +453,12 @@ def extend_with_tail(sim: Sim, bounds: ExploreBounds) -> list[Event]:
 # -- minimization ----------------------------------------------------------
 
 
-def _replay_matching(schedule: Schedule, prop: str, details: str) -> ViolationReport | None:
+def _matching_report(schedule: Schedule, prop: str, details: str) -> ViolationReport | None:
     """Replay a schedule and return its report for ``prop`` when the report
     carries exactly the given details, else None (including on replay
     errors, which just mean a candidate elision broke the run)."""
-    sim = Sim(schedule.config, schedule.workload, record_trace=False, seq_mode=schedule.seq_mode)
-    sim.tail_start = schedule.tail_start
     try:
-        for event in schedule.events:
-            sim.apply(event)
+        sim, _trace = run(schedule, record_trace=False)
     except ScheduleError:
         return None
     reports, _notes = run_checkers(Observations.from_sim(sim), (prop,))
@@ -477,7 +473,7 @@ def minimize(schedule: Schedule, report: ViolationReport) -> Schedule:
     still produces the same report (same property, same details). The
     result replays to the report and has no single removable event.
     Raises ExploreError if the schedule does not replay to the report."""
-    if _replay_matching(schedule, report.property, report.details) is None:
+    if _matching_report(schedule, report.property, report.details) is None:
         raise ExploreError("schedule does not replay to the given report")
     events = list(schedule.events)
     tail_start = schedule.tail_start
@@ -499,7 +495,7 @@ def minimize(schedule: Schedule, report: ViolationReport) -> Schedule:
                 tail_start=ts,
                 seq_mode=schedule.seq_mode,
             )
-            if _replay_matching(trial, report.property, report.details) is not None:
+            if _matching_report(trial, report.property, report.details) is not None:
                 events, tail_start, changed = candidate, ts, True
             else:
                 index += 1
@@ -533,8 +529,9 @@ def explore(
     at an equal or shallower depth are pruned by state key. The
     search stops early once every requested property has a finding; it
     reports exhausted=True only when the full bounded space was covered.
-    Raises ValueError for an unknown property, a faulty client without a
-    workload item or a workload target that is not a replica."""
+    Raises ValueError for an unknown property, an empty workload, a faulty
+    client without a workload item or a workload target that is not a
+    replica."""
     start = time.monotonic()
     requested = (
         tuple(p for p in CHECKER_ORDER if p in set(properties))
@@ -545,8 +542,11 @@ def explore(
         unknown = sorted(set(properties) - set(CHECKERS))
         if unknown:
             raise ValueError(f"unknown properties: {', '.join(unknown)}")
-    # A faulty client without a request never acts, and a request to no
-    # replica is never delivered: either would make a clean verdict vacuous.
+    # No request leaves nothing to check, a faulty client without a request
+    # never acts, and a request to no replica is never delivered: each
+    # would make a clean verdict vacuous.
+    if not bounds.workload:
+        raise ValueError("the workload has no commands")
     idle = sorted(config.faulty_client_ids - {item.client for item in bounds.workload})
     if idle:
         raise ValueError(f"faulty clients without a workload item: {', '.join(idle)}")
@@ -561,10 +561,10 @@ def explore(
         minimized schedule itself replays to."""
         if report.property in found:
             return
-        if _replay_matching(schedule, report.property, report.details) is None:
+        if _matching_report(schedule, report.property, report.details) is None:
             return
         minimized = minimize(schedule, report)
-        final = _replay_matching(minimized, report.property, report.details)
+        final = _matching_report(minimized, report.property, report.details)
         if final is not None:
             found[report.property] = (final, minimized)
 

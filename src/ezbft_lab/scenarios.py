@@ -160,7 +160,7 @@ class ScheduleBuilder:
     def timeout(self, client: str, command_id: str, note: str = "") -> dict:
         return self._apply(Event(TIMEOUT, client=client, command=command_id, note=note))
 
-    def trigger(self, replica: str, instance: InstanceId | str, note: str = "") -> dict:
+    def start_owner_change(self, replica: str, instance: InstanceId | str, note: str = "") -> dict:
         inst = instance if isinstance(instance, InstanceId) else InstanceId.parse(instance)
         return self._apply(Event(TRIGGER_OWNER_CHANGE, replica=replica, instance=inst, note=note))
 
@@ -269,8 +269,8 @@ def _build_safety() -> ScenarioRun:
     b.deliver("commit", "c1", "Q", note="Q finalizes a[T.0]@2")
     b.deliver("commit_reply", "Q", "c1")
 
-    b.trigger("L", r0)
-    b.trigger("Q", r0)
+    b.start_owner_change("L", r0)
+    b.start_owner_change("Q", r0)
     b.adversary(
         "T",
         ByzantineChoice(BYZ_ARBITRARY_VOTE, instance=r0, branches=(ext,)),
@@ -314,9 +314,9 @@ def _build_exec_consistency() -> ScenarioRun:
     b.deliver("spec_reply", "R", "c2")
     b.deliver("spec_reply", "T", "c2")
 
-    b.trigger("L", r0)
-    b.trigger("R", r0)
-    b.trigger("Q", r0)
+    b.start_owner_change("L", r0)
+    b.start_owner_change("R", r0)
+    b.start_owner_change("Q", r0)
     b.deliver("owner_change", "L", "L")
     b.deliver("owner_change", "R", "L")
     b.deliver("owner_change", "Q", "L", note="two plain replies outweigh Q's extension: a[]@1 wins")
@@ -324,9 +324,9 @@ def _build_exec_consistency() -> ScenarioRun:
     b.deliver("new_owner", "L", "Q", note="Q overwrites a[Q.0]@2 with a[]@1")
     b.deliver("new_owner", "L", "T")
 
-    b.trigger("T", q0)
-    b.trigger("Q", q0)
-    b.trigger("R", q0)
+    b.start_owner_change("T", q0)
+    b.start_owner_change("Q", q0)
+    b.start_owner_change("R", q0)
     b.deliver("owner_change", "T", "T")
     b.deliver("owner_change", "Q", "T")
     b.deliver("owner_change", "R", "T", note="two plain replies outweigh R's extension: b[]@1 wins")
@@ -383,9 +383,9 @@ def _build_liveness() -> ScenarioRun:
     b.deliver("commit_reply", "L", "c1")
 
     b.mark_tail()
-    b.trigger("R", r0)
-    b.trigger("L", r0)
-    b.trigger("Q", r0)
+    b.start_owner_change("R", r0)
+    b.start_owner_change("L", r0)
+    b.start_owner_change("Q", r0)
     b.drain()
     # The new owner sees both certificates at the same owner number; no
     # selection rule reconciles them, so no NEW-OWNER is ever sent and

@@ -22,7 +22,7 @@ import json
 from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import adversary as adversary_mod
 from . import client as client_mod
@@ -50,6 +50,11 @@ ADVERSARY = "adversary"
 DRAIN_CAP = 10_000
 # Handler steps a TransitionMemo holds before it starts over.
 MEMO_CAP = 512
+
+# What an event produces: ``(recipient, payload)`` outputs, emitted by the
+# caller, and effect dicts.
+Outputs = Sequence[tuple[str, Any]]
+Effects = Sequence[dict[str, Any]]
 
 
 class ScheduleError(Exception):
@@ -288,8 +293,8 @@ class TransitionMemo:
     clearing is always safe: the memo starts over once it holds
     ``MEMO_CAP`` steps. Starting over replaces the step table, so callers
     go through ``lookup`` and ``store`` and keep no reference to it.
-    ``Sim._react`` computes and stores steps; ``Sim._replay`` installs
-    stored ones in an untraced drain or trigger.
+    ``Sim._recall`` looks a step up once per event and installs a hit;
+    ``Sim._react`` computes and stores a miss.
     """
 
     def __init__(self) -> None:
@@ -352,13 +357,15 @@ class Sim:
     own part of the search key and its trace digest, so fingerprints and
     trace digests are computed only for what an event installed.
 
-    A Sim built with a ``TransitionMemo`` (and every clone of it) keeps
-    each correct node's state canonical and runs every correct node's
-    handler step through the memo. ``apply`` re-emits a reused step's
-    payloads through ``_emit`` and returns its effects in the record. An
-    untraced ``drain`` and ``trigger`` install it through ``_replay``
-    instead, which builds no record, envelope or effects copy. Either way
-    envelope ids, hops, logs and effects are those of a direct run.
+    Every delivery, from ``apply`` or ``drain``, goes through
+    ``_receive``, and every other event through ``apply``. The node's
+    outputs come back unemitted: ``apply`` emits them into the pending
+    pool and ``drain`` queues them on its FIFO. A Sim built with a
+    ``TransitionMemo`` (and every clone of it) keeps each correct node's
+    state canonical and looks each of its handler steps up in the memo
+    once; a hit installs the stored result state and returns the stored
+    outputs and effects, so envelope ids, hops, logs and effects are
+    those of a direct run.
     """
 
     def __init__(
@@ -393,7 +400,7 @@ class Sim:
         for item in workload:
             state = self.clients.setdefault(item.client, ClientState(item.client))
             client_mod.new_request(state, item.command, item.target)
-            self._emit(item.client, item.target, ClientRequest(item.client, item.command), hop=0)
+            self._emit(item.client, [(item.target, ClientRequest(item.client, item.command))], 0)
         if memo is not None:
             faulty = cfg.byzantine_ids | cfg.faulty_client_ids
             self._canonical = frozenset(self.replicas).union(self.clients) - faulty
@@ -440,12 +447,17 @@ class Sim:
 
     # -- emission and delivery ------------------------------------------
 
-    def _emit(self, sender: str, recipient: str, payload: Any, hop: int) -> Envelope:
-        count = self.counters.get(sender, 0)
-        self.counters[sender] = count + 1
-        env = Envelope(f"{sender}#{count}", sender, recipient, payload, hop)
-        self._pending[env.id] = env
-        return env
+    def _emit(self, sender: str, outputs: Outputs, hop: int) -> list[Envelope]:
+        """Put ``sender``'s ``(recipient, payload)`` outputs into the
+        pending pool as envelopes at ``hop``, with ids from its counter."""
+        emitted = []
+        for recipient, payload in outputs:
+            count = self.counters.get(sender, 0)
+            self.counters[sender] = count + 1
+            env = Envelope(f"{sender}#{count}", sender, recipient, payload, hop)
+            self._pending[env.id] = env
+            emitted.append(env)
+        return emitted
 
     def pending(self) -> list[Envelope]:
         """Produced-but-undelivered envelopes, in emission order."""
@@ -456,82 +468,55 @@ class Sim:
         the events applied, each carrying ``note``. Raises ScheduleError
         when ``DRAIN_CAP`` deliveries leave messages pending.
 
-        A traced Sim delivers through ``apply``, which records each event.
-        An untraced Sim builds no records: it moves its pending envelopes
-        into a FIFO once and delivers from there. A correct node's step
-        the memo holds is installed by ``_replay`` and its outputs queued
-        as plain ``(id, sender, recipient, payload, hop)`` tuples, with ids
-        from the sender's counter; any other delivery goes through
-        ``_receive``, as ``apply`` dispatches it. Whatever an error leaves
+        The pending envelopes move into a FIFO once, at the start. Each
+        delivery goes through ``_receive`` and its outputs are queued as
+        plain ``(id, sender, recipient, payload, hop)`` tuples, with the
+        ids, hops and order ``apply`` would give them. A traced Sim records
+        each delivery through ``_record``. Whatever an error leaves
         undelivered goes back to the pending pool."""
         applied: list[Event] = []
-        if self.record_trace:
+        counters = self.counters
+        traced = self.record_trace
+        fifo: deque[tuple[str, str, str, Any, int]] = deque(self._pending.values())
+        self._pending = {}
+        try:
             for _ in range(DRAIN_CAP):
-                if not self._pending:
+                if not fifo:
                     return applied
-                event = Event(DELIVER, message=next(iter(self._pending)), note=note)
-                self.apply(event)
+                env_id, sender, node, payload, hop = fifo.popleft()
+                outputs, effects = self._receive(env_id, sender, node, payload)
+                if outputs:
+                    count = counters.get(node, 0)
+                    counters[node] = count + len(outputs)
+                    for recipient, out in outputs:
+                        fifo.append((f"{node}#{count}", node, recipient, out, hop + 1))
+                        count += 1
+                # Positional: a NamedTuple built from keywords costs
+                # noticeably more per tail event.
+                event = Event(DELIVER, env_id, None, None, None, None, None, None, note)
+                if traced:
+                    emitted = [Envelope(*fifo[i]) for i in range(-len(outputs), 0)]
+                    self._record(event, emitted, effects)
+                else:
+                    self._log_event(effects)
                 applied.append(event)
-        else:
-            counters = self.counters
-            fifo: deque[tuple[str, str, str, Any, int]] = deque(self._pending.values())
-            self._pending = {}
-            try:
-                for _ in range(DRAIN_CAP):
-                    if not fifo:
-                        return applied
-                    message = fifo.popleft()
-                    env_id, sender, node, payload, hop = message
-                    step = self._replay(node, (sender, id(payload)))
-                    if step is None:
-                        self._log_event(self._receive(*message)[1])
-                        fifo.extend(self._pending.values())
-                        self._pending = {}
-                    elif step.outputs:
-                        count = counters.get(node, 0)
-                        counters[node] = count + len(step.outputs)
-                        for recipient, out in step.outputs:
-                            fifo.append((f"{node}#{count}", node, recipient, out, hop + 1))
-                            count += 1
-                    # Positional: a NamedTuple built from keywords costs
-                    # noticeably more per tail event.
-                    applied.append(Event(DELIVER, env_id, None, None, None, None, None, None, note))
-            finally:
-                if fifo:
-                    self._pending = {m[0]: Envelope(*m) for m in fifo} | self._pending
+        finally:
+            self._pending = {m[0]: Envelope(*m) for m in fifo}
         raise ScheduleError(f"drain did not quiesce within {DRAIN_CAP} deliveries")
 
-    def trigger(self, event: Event) -> None:
-        """Apply an owner-change trigger the way ``drain`` applies a
-        delivery: through ``apply`` when tracing, else without a record,
-        by ``_replay`` when the memo holds the step and by ``apply``'s
-        dispatch otherwise."""
-        if self.record_trace:
-            self.apply(event)
-            return
-        step = self._replay(event.replica, (TRIGGER_OWNER_CHANGE, event.instance))
-        if step is None:
-            self._log_event(self._apply_trigger(event)[1])
-        else:
-            self._wrap(event.replica, step.outputs, 0)
-
-    def _replay(self, node: str, key: tuple) -> _Step | None:
-        """Install a memoized step without building a record: when the
-        memo holds the step of canonical ``node`` for ``key``, install the
-        stored result state, log the stored effects as event ``seq_no``
-        and return the step, whose outputs the caller emits. Otherwise
-        change nothing and return None."""
+    def _recall(self, node: str, key: tuple) -> tuple[Outputs, Effects] | None:
+        """The memoized step of canonical ``node`` for the event input
+        ``key``: install its result state and return its outputs and
+        effects. Return None, changing nothing, when ``node`` is not
+        canonical or the memo does not hold the step."""
         if node not in self._canonical:
             return None
         nodes: dict[str, Any] = self.clients if node in self.clients else self.replicas
         step = self._memo.lookup(nodes[node], key)
-        if step is not None:
-            nodes[node] = step.after
-            self._log_event(step.effects)
-        return step
-
-    def _wrap(self, sender: str, outputs: list[tuple[str, Any]], hop: int) -> list[Envelope]:
-        return [self._emit(sender, recipient, payload, hop) for recipient, payload in outputs]
+        if step is None:
+            return None
+        nodes[node] = step.after
+        return step.outputs, step.effects
 
     def _react(
         self,
@@ -539,45 +524,40 @@ class Sim:
         key: tuple,
         keep: Any,
         handler: Callable[[Any], tuple[list[tuple[str, Any]], list[dict[str, Any]]]],
-        hop: int,
-    ) -> tuple[list[Envelope], list[dict[str, Any]]]:
-        """Run a correct node's handler on a copy of its state and emit its
-        outputs at ``hop``. With a memo, the step is first looked up by the
-        canonical state and ``key``; ``keep`` is an object the key names by
-        identity. A computed step is stored with its result state made
-        canonical, and the canonical result is installed."""
+    ) -> tuple[Outputs, Effects]:
+        """Run a correct node's handler on a copy of its state, once
+        ``_recall`` missed, and return its outputs and effects. With a
+        memo, the step is stored under the canonical state and ``key``
+        (``keep`` is an object the key names by identity), and the
+        canonical result state is installed."""
         memo = self._memo
         if memo is None:
-            outputs, effects = handler(self._own(node))
-            return self._wrap(node, outputs, hop), effects
+            return handler(self._own(node))
         nodes: dict[str, Any] = self.clients if node in self.clients else self.replicas
         before = nodes[node]
-        step = memo.lookup(before, key)
-        if step is None:
-            after = before.clone()
-            outputs, effects = handler(after)
-            step = memo.store(before, key, keep, after, outputs, effects)
+        after = before.clone()
+        outputs, effects = handler(after)
+        step = memo.store(before, key, keep, after, outputs, effects)
         nodes[node] = step.after
-        return [self._emit(node, r, p, hop) for r, p in step.outputs], list(step.effects)
-
-    def _deliver(self, env_id: str) -> tuple[list[Envelope], list[dict[str, Any]]]:
-        env = self._pending.pop(env_id, None)
-        if env is None:
-            raise ScheduleError(f"message {env_id!r} is not pending (unknown or already delivered)")
-        return self._receive(*env)
+        return step.outputs, step.effects
 
     def _receive(
-        self, env_id: str, sender: str, node: str, payload: Any, hop: int
-    ) -> tuple[list[Envelope], list[dict[str, Any]]]:
-        """Hand a message taken from the pool to its recipient; every
-        delivery rule lives here."""
-        if node in self.cfg.byzantine_ids:
+        self, env_id: str, sender: str, node: str, payload: Any
+    ) -> tuple[Outputs, Effects]:
+        """Hand a message taken from the pool to its recipient and return
+        the recipient's outputs and effects, emitting nothing; every
+        delivery rule lives here. A memoized step is looked up first."""
+        key = (sender, id(payload))
+        hit = self._recall(node, key)
+        if hit is not None:
+            return hit
+
+        cfg = self.cfg
+        if node in cfg.byzantine_ids:
             self._own(node)
             self.inboxes[node].append((sender, payload))
             return [], [{"type": "inbox", "node": node, "from": sender, "kind": payload.kind}]
 
-        cfg = self.cfg
-        key = (sender, id(payload))
         if node in cfg.replica_ids:
             try:
                 return self._react(
@@ -585,7 +565,6 @@ class Sim:
                     key,
                     payload,
                     lambda state: adversary_mod.honest_step(state, cfg, sender, payload),
-                    hop + 1,
                 )
             except adversary_mod.BadChoice as exc:
                 raise ScheduleError(f"message {env_id!r} cannot be delivered: {exc}") from exc
@@ -604,32 +583,42 @@ class Sim:
                 handler = client_mod.on_commit_reply
             else:
                 return [], [{"type": "drop", "node": node, "reason": "unexpected_payload"}]
-            return self._react(
-                node,
-                key,
-                payload,
-                lambda state: handler(state, cfg, payload),
-                hop + 1,
-            )
+            return self._react(node, key, payload, lambda state: handler(state, cfg, payload))
 
         raise ScheduleError(f"message {env_id!r} addressed to unknown node {node!r}")
 
     # -- event application ----------------------------------------------
 
     def apply(self, event: Event) -> dict[str, Any]:
-        """Execute one event; returns its record, which carries the trace
-        fields (and is retained) only when tracing is on."""
-        if event.kind == DELIVER:
-            emitted, effects = self._deliver(event.message)
-        elif event.kind == TIMEOUT:
-            emitted, effects = self._apply_timeout(event)
-        elif event.kind == TRIGGER_OWNER_CHANGE:
-            emitted, effects = self._apply_trigger(event)
-        elif event.kind == ADVERSARY:
-            emitted, effects = self._apply_adversary(event)
+        """Execute one event, emit its outputs into the pending pool and
+        return its record (see ``_record``)."""
+        kind = event.kind
+        hop = 0
+        if kind == DELIVER:
+            env = self._pending.pop(event.message, None)
+            if env is None:
+                raise ScheduleError(
+                    f"message {event.message!r} is not pending (unknown or already delivered)"
+                )
+            node, hop = env.recipient, env.hop + 1
+            outputs, effects = self._receive(env.id, env.sender, node, env.payload)
+        elif kind == TIMEOUT:
+            node = event.client
+            outputs, effects = self._apply_timeout(event)
+        elif kind == TRIGGER_OWNER_CHANGE:
+            node = event.replica
+            outputs, effects = self._apply_trigger(event)
+        elif kind == ADVERSARY:
+            node = event.node
+            outputs, effects = self._apply_adversary(event)
         else:
-            raise ScheduleError(f"unknown event kind {event.kind!r}")
+            raise ScheduleError(f"unknown event kind {kind!r}")
+        return self._record(event, self._emit(node, outputs, hop), effects)
 
+    def _record(self, event: Event, emitted: list[Envelope], effects: Effects) -> dict[str, Any]:
+        """Log an event's effects and return its record, which carries the
+        trace fields (and is retained) only when tracing is on."""
+        effects = list(effects)
         seq_no = self.seq_no
         self._log_event(effects)
         if self.record_trace:
@@ -646,7 +635,7 @@ class Sim:
             record = {"seq_no": seq_no, "kind": event.kind, "effects": effects}
         return record
 
-    def _log_event(self, effects: Iterable[dict[str, Any]]) -> None:
+    def _log_event(self, effects: Effects) -> None:
         """Log an event's commit and selection effects at its seq number,
         then advance ``seq_no``."""
         for eff in effects:
@@ -656,57 +645,53 @@ class Sim:
                 self.selection_log.append({**eff, "seq_no": self.seq_no})
         self.seq_no += 1
 
-    def _apply_timeout(self, event: Event) -> tuple[list[Envelope], list[dict[str, Any]]]:
+    def _apply_timeout(self, event: Event) -> tuple[Outputs, Effects]:
         if event.client not in self.clients:
             raise ScheduleError(f"timeout for unknown client {event.client!r}")
         if event.client in self.cfg.faulty_client_ids:
             raise ScheduleError("timeouts fire only for correct clients")
-        return self._react(
+        key = (TIMEOUT, event.command, self.seq_mode)
+        return self._recall(event.client, key) or self._react(
             event.client,
-            (TIMEOUT, event.command, self.seq_mode),
+            key,
             None,
             lambda state: client_mod.on_timeout(state, self.cfg, event.command, self.seq_mode),
-            0,
         )
 
-    def _apply_trigger(self, event: Event) -> tuple[list[Envelope], list[dict[str, Any]]]:
+    def _apply_trigger(self, event: Event) -> tuple[Outputs, Effects]:
         if event.replica not in self.cfg.replica_ids:
             raise ScheduleError(f"owner-change trigger for unknown replica {event.replica!r}")
         if event.replica in self.cfg.byzantine_ids:
             raise ScheduleError("owner-change triggers apply to correct replicas only")
         if event.instance is None:
             raise ScheduleError("owner-change trigger names no instance")
-        return self._react(
+        key = (TRIGGER_OWNER_CHANGE, event.instance)
+        return self._recall(event.replica, key) or self._react(
             event.replica,
-            (TRIGGER_OWNER_CHANGE, event.instance),
+            key,
             None,
             lambda state: owner_change.make_vote(state, self.cfg, event.instance),
-            0,
         )
 
-    def _apply_adversary(self, event: Event) -> tuple[list[Envelope], list[dict[str, Any]]]:
+    def _apply_adversary(self, event: Event) -> tuple[Outputs, Effects]:
         node = event.node
         try:
             if node in self.cfg.byzantine_ids:
                 if not isinstance(event.choice, ByzantineChoice):
                     raise ScheduleError(f"{node} takes byzantine choices")
                 state = self._own(node)
-                outputs, effects = adversary_mod.apply_byzantine(
+                return adversary_mod.apply_byzantine(
                     state, self.cfg, self.inboxes[node], self.consumed[node], event.choice
                 )
-            elif node in self.cfg.faulty_client_ids:
+            if node in self.cfg.faulty_client_ids:
                 if not isinstance(event.choice, FaultyClientChoice):
                     raise ScheduleError(f"{node} takes faulty-client choices")
                 if node not in self.clients:
                     raise ScheduleError(f"faulty client {node!r} has no workload")
-                outputs, effects = adversary_mod.apply_faulty_client(
-                    self._own(node), self.cfg, event.choice
-                )
-            else:
-                raise ScheduleError(f"adversary event for non-faulty node {node!r}")
+                return adversary_mod.apply_faulty_client(self._own(node), self.cfg, event.choice)
+            raise ScheduleError(f"adversary event for non-faulty node {node!r}")
         except (adversary_mod.BadChoice, adversary_mod.ForgedReply) as exc:
             raise ScheduleError(f"adversary event failed: {exc}") from exc
-        return self._wrap(node, outputs, 0), effects
 
     # -- snapshots --------------------------------------------------------
 

@@ -99,6 +99,33 @@ def test_explore_minimized_schedule_replays_through_the_cli(tmp_path):
     assert main(["replay", str(schedule), "--check", "agreement"]) == 2
 
 
+def test_explore_cut_short_by_max_states_is_an_error(tmp_path, capsys):
+    code = main(["explore", "--max-events", "10", "--max-states", "5", "--out", str(tmp_path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: search stopped after 5 states (--max-states) before exhausting its bounds\n"
+    )
+    assert "no violations" not in captured.out
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert result["states_visited"] == 5
+    assert result["exhausted"] is False and result["violations"] == []
+
+
+def test_explore_cut_short_with_a_finding_exits_two(tmp_path, capsys):
+    code = main([
+        "explore", "--replicas", "4", "--faults", "1",
+        "--byzantine", "T", "--faulty-clients", "c1",
+        "--commands", "2", "--max-events", "14", "--max-states", "14",
+        "--properties", "agreement,validity,liveness", "--out", str(tmp_path),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == ""
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert result["exhausted"] is False
+    assert [v["report"]["property"] for v in result["violations"]] == ["agreement"]
+
+
 @pytest.mark.parametrize(
     "args, message",
     [

@@ -85,11 +85,9 @@ def test_explore_rejects_workload_targets_that_are_not_replicas():
         explore(CORRECT, ExploreBounds(workload=workload, max_events=2))
 
 
-def test_explore_empty_workload_is_trivially_exhausted():
-    result = explore(CORRECT, ExploreBounds(workload=(), max_events=3))
-    assert result.exhausted
-    assert result.violations == []
-    assert result.states_visited >= 1
+def test_explore_rejects_an_empty_workload():
+    with pytest.raises(ValueError, match="the workload has no commands"):
+        explore(CORRECT, ExploreBounds(workload=(), max_events=3))
 
 
 def test_explore_honest_small_run_is_clean_and_exhausted():
@@ -190,7 +188,7 @@ def test_explore_state_cap_aborts_without_claiming_exhaustion():
 
 
 def test_explore_result_json_shape():
-    result = explore(CORRECT, ExploreBounds(workload=(), max_events=1))
+    result = explore(CORRECT, ExploreBounds(workload=_one_command(), max_events=1))
     data = result.to_json()
     assert set(data) >= {"states_visited", "violations", "exhausted"}
     assert data["exhausted"] is True

@@ -1,16 +1,21 @@
-"""The untraced synchronous tail must match delivering through ``apply``.
+"""The synchronous tail must match delivering one event at a time through
+``Sim.apply``.
 
-An untraced ``Sim.drain`` delivers from a FIFO and installs memoized steps
-without building envelopes or records, and ``Sim.trigger`` does the same
-for the tail's owner-change triggers. The reference is a traced twin of
-the same state, whose ``extend_with_tail`` applies every event one at a
-time through ``Sim.apply``. Both must choose the same events and end in
-the same node states, inboxes, consumed sets, counters, seq number, logs,
-an empty pending pool and the same checker reports. The comparison runs
-on every terminal of small searches and after every step of seeded
-walks, with and without a transition memo, over four fault configs.
+``Sim.drain`` moves the pending envelopes into a FIFO once and delivers
+from there, traced or not. The reference is independent of that loop: it
+delivers the oldest pending envelope through ``Sim.apply``, one event at a
+time, and records every event. The tail runs three times from one state:
+through an untraced ``drain``, through a traced ``drain`` and through the
+reference drain; ``extend_with_tail`` applies the owner-change triggers
+through ``Sim.apply`` in all three. All three must choose the same events
+and end in the same node states, inboxes, consumed sets, counters, seq
+number, logs, an empty pending pool and the same checker reports, and the
+traced ``drain`` must build exactly the reference's trace records. The
+comparison runs on every terminal of small searches and after every step
+of seeded walks, with and without a transition memo, over four fault
+configs.
 
-With a shared memo both twins must also end on the very same canonical
+With a shared memo all three must also end on the very same canonical
 node objects, unless the memo started over between their tails: its
 identities stand for values, so after a start-over equal values may be
 held by two objects.
@@ -24,7 +29,15 @@ from ezbft_lab import explorer, simnet
 from ezbft_lab.checkers import Observations, run_checkers
 from ezbft_lab.core import Command, Config
 from ezbft_lab.explorer import ExploreBounds, enabled_moves, explore, extend_with_tail
-from ezbft_lab.simnet import ADVERSARY, ScheduleError, Sim, TransitionMemo, WorkItem
+from ezbft_lab.simnet import (
+    ADVERSARY,
+    DELIVER,
+    Event,
+    ScheduleError,
+    Sim,
+    TransitionMemo,
+    WorkItem,
+)
 
 REPLICAS = ("R", "L", "Q", "T")
 CONFIGS = {
@@ -88,29 +101,55 @@ def _outcome(sim, events):
     }
 
 
+def _reference_drain(sim, note=""):
+    """Deliver the oldest pending envelope through ``Sim.apply`` until none
+    remain, one event at a time; the same contract as ``Sim.drain``."""
+    applied = []
+    for _ in range(simnet.DRAIN_CAP):
+        if not sim._pending:
+            return applied
+        event = Event(DELIVER, message=next(iter(sim._pending)), note=note)
+        sim.apply(event)
+        applied.append(event)
+    raise ScheduleError(f"drain did not quiesce within {simnet.DRAIN_CAP} deliveries")
+
+
+def _reference(sim):
+    """A traced twin of ``sim`` whose drains go through ``_reference_drain``."""
+    twin = sim.clone()
+    twin.record_trace = True
+    twin.drain = lambda note="": _reference_drain(twin, note)
+    return twin
+
+
 def _assert_tail_matches_apply(sim, bounds, lean_first, resets):
-    """Run the tail on an untraced twin and on a traced twin of ``sim``.
-    ``lean_first`` picks which runs first, so that with a shared memo each
-    side also meets steps the memo does not hold yet. ``resets`` is the
-    start-over counter of the ``resets`` fixture."""
-    lean, traced = sim.clone(), sim.clone()
+    """Run the tail on an untraced twin, a traced twin and the reference
+    twin of ``sim``. ``lean_first`` picks the order, so that with a shared
+    memo each side also meets steps the memo does not hold yet. ``resets``
+    is the start-over counter of the ``resets`` fixture."""
+    lean, traced, reference = sim.clone(), sim.clone(), _reference(sim)
     traced.record_trace = True
+    twins = (lean, traced, reference)
     tails = {}
     before = resets[0]
-    for twin in (lean, traced) if lean_first else (traced, lean):
+    for twin in twins if lean_first else twins[::-1]:
         tails[id(twin)] = extend_with_tail(twin, bounds)
     lean_events = tails[id(lean)]
-    assert _outcome(lean, lean_events) == _outcome(traced, tails[id(traced)])
+    expected = _outcome(reference, tails[id(reference)])
+    assert _outcome(lean, lean_events) == expected
+    assert _outcome(traced, tails[id(traced)]) == expected
     assert lean._pending == {} and lean.records == []
-    assert len(traced.records) == len(lean_events)
+    assert traced.records == reference.records
+    assert len(reference.records) == len(lean_events)
     shared = resets[0] == before
     for node in lean._canonical:
-        nodes = lean.clients if node in lean.clients else lean.replicas
-        other = traced.clients if node in traced.clients else traced.replicas
-        if shared:
-            assert nodes[node] is other[node], node
-        else:
-            assert nodes[node].value() == other[node].value(), node
+        mine = lean.clients if node in lean.clients else lean.replicas
+        for other in (traced, reference):
+            theirs = other.clients if node in other.clients else other.replicas
+            if shared:
+                assert mine[node] is theirs[node], node
+            else:
+                assert mine[node].value() == theirs[node].value(), node
     return lean_events
 
 
@@ -170,10 +209,11 @@ def test_seeded_walk_tails_match_apply(resets, name, memo):
 def test_a_drain_cut_short_leaves_the_rest_pending(monkeypatch, memo):
     monkeypatch.setattr(simnet, "DRAIN_CAP", 3)
     sim = Sim(CONFIGS["honest"], _two_commands("Q"), memo=TransitionMemo() if memo else None)
-    traced = sim.clone()
+    traced, reference = sim.clone(), _reference(sim)
     traced.record_trace = True
-    for twin in (sim, traced):
+    for twin in (sim, traced, reference):
         with pytest.raises(ScheduleError, match="did not quiesce"):
             twin.drain()
-    assert sim.pending() == traced.pending()
-    assert len(sim.pending()) > 0 and sim.seq_no == traced.seq_no == 3
+    assert sim.pending() == traced.pending() == reference.pending()
+    assert traced.records == reference.records
+    assert len(sim.pending()) > 0 and sim.seq_no == traced.seq_no == reference.seq_no == 3

@@ -88,9 +88,8 @@ class _Installed:
 
 @pytest.fixture
 def installed(monkeypatch):
-    """Record the nodes of every Sim around every ``Sim.apply``, and around
-    every untraced tail step, which ``Sim.drain`` and ``Sim.trigger`` take
-    without ``apply``."""
+    """Record the nodes of every Sim around every ``Sim.apply`` and every
+    ``Sim.drain``, which delivers without ``apply``."""
     log = _Installed()
 
     def recording(method):
@@ -103,7 +102,7 @@ def installed(monkeypatch):
 
         return wrapper
 
-    for name in ("apply", "drain", "trigger"):
+    for name in ("apply", "drain"):
         monkeypatch.setattr(Sim, name, recording(getattr(Sim, name)))
     return log
 

@@ -7,7 +7,7 @@ payloads), fingerprint, commit and selection logs and the event's
 effects. At every step each enabled move is also applied to a clone of the
 memo Sim, as the search does: that must leave the parent unchanged, and no
 step the memo ever stored may change afterwards, not even after the memo
-started over.
+started over. A search looks each step up in the memo exactly once.
 """
 
 import random
@@ -121,3 +121,29 @@ def test_search_reports_reused_transitions():
     data = result.to_json()
     assert data["transitions_computed"] == result.transitions_computed
     assert data["transitions_reused"] == result.transitions_reused
+
+
+@pytest.mark.parametrize(
+    "config, second_target, max_events, properties",
+    [
+        (CORRECT, "Q", 5, ("agreement", "validity", "liveness")),
+        (BYZ, "T", 14, ("agreement", "liveness")),
+        (BYZ, "R", 5, None),
+    ],
+    ids=["honest-Q-5", "crit6-byz", "byzantine-R-5"],
+)
+def test_every_memo_step_is_looked_up_once(monkeypatch, config, second_target, max_events, properties):
+    """A search's memo lookups are exactly its computed plus reused steps:
+    a step that misses is computed without a second lookup."""
+    calls = [0]
+    lookup = TransitionMemo.lookup
+
+    def counting(memo, state, key):
+        calls[0] += 1
+        return lookup(memo, state, key)
+
+    monkeypatch.setattr(TransitionMemo, "lookup", counting)
+    bounds = ExploreBounds(workload=_two_commands(second_target), max_events=max_events)
+    result = explore(config, bounds, properties)
+    assert result.transitions_reused > 0
+    assert calls[0] == result.transitions_computed + result.transitions_reused

@@ -129,9 +129,6 @@ class Observations:
             pending_count=len(emitted - delivered),
         )
 
-    def correct_replicas(self) -> list[str]:
-        return [r for r in self.config.replica_ids if r not in self.config.byzantine_ids]
-
     def correct_commits(self) -> list[dict[str, Any]]:
         byz = self.config.byzantine_ids
         return [c for c in self.commits if c["replica"] not in byz]
@@ -321,7 +318,7 @@ def check_execution_consistency(obs: Observations) -> ViolationReport | None:
             if not interferes(committed[a]["command"], committed[b]["command"]):
                 continue
             orders: dict[str, str] = {}
-            for replica in obs.correct_replicas():
+            for replica in obs.config.correct_replicas():
                 seq = obs.final_executed.get(replica, [])
                 if a in seq and b in seq:
                     orders[replica] = f"{a}<{b}" if seq.index(a) < seq.index(b) else f"{b}<{a}"
@@ -357,6 +354,10 @@ def check_execution_consistency(obs: Observations) -> ViolationReport | None:
     )
 
 
+# The selection fields a liveness conflict witness cites.
+_CONFLICT_FIELDS = ("leader", "instance", "owner_number", "tuple", "second")
+
+
 def check_liveness(obs: Observations) -> ViolationReport | None:
     """A correct client's command must commit once the network turns
     synchronous. Assessable only on traces that end with a synchronous
@@ -390,16 +391,7 @@ def check_liveness(obs: Observations) -> ViolationReport | None:
     witnesses = tuple(
         [{"stuck_command": w.command.id, "client": w.client} for w in stuck]
         + [
-            {
-                "conflict": {
-                    "leader": s["leader"],
-                    "instance": s["instance"],
-                    "owner_number": s["owner_number"],
-                    "tuple": s["tuple"],
-                    "second": s["second"],
-                },
-                "seq_no": s["seq_no"],
-            }
+            {"conflict": {k: s[k] for k in _CONFLICT_FIELDS}, "seq_no": s["seq_no"]}
             for s in conflicts
         ]
     )
@@ -482,15 +474,7 @@ def verify_report(report: ViolationReport, obs: Observations) -> bool:
     if report.property in (DEPENDENCY_INCLUSION, EXECUTION_CONSISTENCY):
         return _verify_uncovered_pairs(report.witnesses, obs)
     if report.property == LIVENESS:
-        try:
-            fresh = check_liveness(obs)
-        except PreconditionUnmet:
-            return False
-        if fresh is None:
-            return False
-        fresh_stuck = {w["stuck_command"] for w in fresh.witnesses if "stuck_command" in w}
-        report_stuck = {w["stuck_command"] for w in report.witnesses if "stuck_command" in w}
-        return report_stuck <= fresh_stuck and bool(report_stuck)
+        return _verify_liveness(report.witnesses, obs)
     return False
 
 
@@ -521,12 +505,37 @@ def _verify_uncovered_pairs(witnesses: tuple[dict[str, Any], ...], obs: Observat
     return True
 
 
+def _verify_liveness(witnesses: tuple[dict[str, Any], ...], obs: Observations) -> bool:
+    """Liveness witnesses, on a run with a tail and nothing pending: at
+    least one stuck command, a correct client's workload command that no
+    correct replica committed, and at least one conflict, a ``conflict``
+    selection of a correct leader at or after the tail start, cited with
+    its seq number. Every witness must be one of the two."""
+    if obs.tail_start is None or obs.pending_count:
+        return False
+    committed = {c["tuple"]["command"]["id"] for c in obs.correct_commits()}
+    waiting = [
+        {"stuck_command": w.command.id, "client": w.client}
+        for w in obs.workload
+        if w.client not in obs.config.faulty_client_ids and w.command.id not in committed
+    ]
+    correct = obs.config.correct_replicas()
+    conflicts = [
+        {"conflict": {k: s[k] for k in _CONFLICT_FIELDS}, "seq_no": s["seq_no"]}
+        for s in obs.selections
+        if s["outcome"] == "conflict" and s["seq_no"] >= obs.tail_start and s["leader"] in correct
+    ]
+    stuck = [w for w in witnesses if w in waiting]
+    cited = [w for w in witnesses if w in conflicts]
+    return bool(stuck) and bool(cited) and len(stuck) + len(cited) == len(witnesses)
+
+
 def _verify_divergence(witnesses: tuple[dict[str, Any], ...], obs: Observations) -> bool:
     """Divergence witnesses: each names a committed interfering pair and
     the order a correct replica finally executed it in, which must be the
     order in ``final_executed``; every pair needs two differing orders."""
     committed = _committed_commands(obs)
-    correct = set(obs.correct_replicas())
+    correct = set(obs.config.correct_replicas())
     orders: dict[tuple[str, str], set[str]] = {}
     for w in witnesses:
         a, b = w["pair"]

@@ -154,6 +154,19 @@ def fast_path_output(req: PendingRequest, cfg: Config) -> CommitFast | None:
     return CommitFast(first.instance, cert)
 
 
+def slow_quorum(req: PendingRequest, cfg: Config) -> list[SpecReply] | None:
+    """The replies a slow-path certificate packages: those of the first
+    instance, in instance order, that 2f+1 replicas answered for, or None.
+    Replies must agree on the instance to be packaged together."""
+    by_instance: dict[InstanceId, list[SpecReply]] = {}
+    for r in req.replies.values():
+        by_instance.setdefault(r.instance, []).append(r)
+    for inst in sorted(by_instance):
+        if len(by_instance[inst]) >= cfg.quorum_slow:
+            return by_instance[inst]
+    return None
+
+
 def on_spec_reply(
     state: ClientState, cfg: Config, msg: SpecReply
 ) -> tuple[list[Output], list[Effect]]:
@@ -186,15 +199,7 @@ def on_timeout(
     if req.phase != SPECULATING or not req.timer_armed:
         return [], [_drop(state.id, "timeout_after_speculation_ended")]
 
-    # Replies must agree on the instance to be packaged together.
-    by_instance: dict[InstanceId, list[SpecReply]] = {}
-    for r in req.replies.values():
-        by_instance.setdefault(r.instance, []).append(r)
-    usable: list[SpecReply] | None = None
-    for inst in sorted(by_instance):
-        if len(by_instance[inst]) >= cfg.quorum_slow:
-            usable = by_instance[inst]
-            break
+    usable = slow_quorum(req, cfg)
     if usable is None:
         return [], [{"type": "timer_rearmed", "client": state.id, "request": command_id}]
 

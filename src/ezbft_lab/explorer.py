@@ -32,7 +32,7 @@ from .checkers import (
     ViolationReport,
     run_checkers,
 )
-from .client import SEQ_MODE_MAX, SPECULATING
+from .client import SEQ_MODE_MAX, SPECULATING, slow_quorum
 from .replica import SPECULATED
 from .core import (
     Config,
@@ -146,8 +146,8 @@ def _delivery_moves(sim: Sim) -> list[Event]:
 
 
 def _timeout_moves(sim: Sim) -> list[Event]:
-    """A correct client may fire its retransmission timer once it could
-    assemble a slow-path certificate: a 2f+1 same-instance reply set."""
+    """A correct client may fire its armed retransmission timer once it
+    could assemble a slow-path certificate (``client.slow_quorum``)."""
     moves: list[Event] = []
     for cid in sorted(sim.clients):
         if cid in sim.cfg.faulty_client_ids:
@@ -156,10 +156,7 @@ def _timeout_moves(sim: Sim) -> list[Event]:
         for command_id, req in state.requests.items():
             if req.phase != SPECULATING or not req.timer_armed:
                 continue
-            by_instance: dict[str, set[str]] = {}
-            for sender, reply in req.replies.items():
-                by_instance.setdefault(str(reply.instance), set()).add(sender)
-            if any(len(s) >= sim.cfg.quorum_slow for s in by_instance.values()):
+            if slow_quorum(req, sim.cfg) is not None:
                 moves.append(Event(TIMEOUT, client=cid, command=command_id))
     return moves
 
@@ -257,8 +254,7 @@ def _byz_vote_moves(sim: Sim, bounds: ExploreBounds) -> list[Event]:
     for byz in sorted(sim.cfg.byzantine_ids):
         state = sim.replicas[byz]
         for inst in sorted(active, key=str):
-            target = state.current_owner_number(sim.cfg, inst) + 1
-            if target not in active[inst] or (inst, target) in state.voted:
+            if state.next_vote(sim.cfg, inst) not in active[inst]:
                 continue
             for claimed in _byz_claims(sim, byz, inst, bounds.byzantine_branch_tuples):
                 choice = ByzantineChoice(BYZ_ARBITRARY_VOTE, instance=inst, branches=(claimed,))
@@ -338,11 +334,7 @@ def _faulty_moves(sim: Sim, bounds: ExploreBounds, acted: frozenset[str]) -> lis
         state = sim.clients[cid]
         for command_id, req in state.requests.items():
             certs = _certificate_universe(sim.cfg, state.received, command_id)
-            others = [
-                rid
-                for rid in sim.cfg.replica_ids
-                if rid != req.target and rid not in sim.cfg.byzantine_ids
-            ]
+            others = [rid for rid in sim.cfg.correct_replicas() if rid != req.target]
             for first in certs:
                 for second in certs:
                     if first is second or tuples_equal(
@@ -366,16 +358,12 @@ def _trigger_targets(sim: Sim, bounds: ExploreBounds, instance: InstanceId) -> l
     cfg = sim.cfg
     cap = cfg.default_owner_number(instance) + bounds.max_owner_changes_per_instance
     out: list[str] = []
-    for rid in cfg.replica_ids:
-        if rid in cfg.byzantine_ids:
-            continue
+    for rid in cfg.correct_replicas():
         state = sim.replicas[rid]
         if instance not in state.log:
             continue
-        target = state.current_owner_number(cfg, instance) + 1
-        if target > cap or (instance, target) in state.voted:
-            continue
-        if cfg.leader_at(target) in cfg.byzantine_ids:
+        target = state.next_vote(cfg, instance)
+        if target is None or target > cap or cfg.leader_at(target) in cfg.byzantine_ids:
             continue
         out.append(rid)
     return out
@@ -558,10 +546,9 @@ def explore(
 
     def record(schedule: Schedule, report: ViolationReport) -> None:
         """Minimize and store one finding; the stored report is the one the
-        minimized schedule itself replays to."""
+        minimized schedule itself replays to. A finding whose schedule
+        does not replay to it is a lab bug, and ``minimize`` raises."""
         if report.property in found:
-            return
-        if _matching_report(schedule, report.property, report.details) is None:
             return
         minimized = minimize(schedule, report)
         final = _matching_report(minimized, report.property, report.details)

@@ -8,8 +8,7 @@ Faulty nodes may say arbitrary things but never as somebody else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import Any, Mapping, NamedTuple
 
 from .core import (
     Command,
@@ -272,76 +271,27 @@ def certificate_to_json(c: CommitCertificate) -> dict[str, Any]:
     return {"cert_kind": c.cert_kind, "replies": [payload_to_json(r) for r in c.replies]}
 
 
-def _payload_of(kind: type, data: Any) -> Any:
-    """A nested payload that must be of one class."""
-    payload = payload_from_json(data)
-    if not isinstance(payload, kind):
-        raise TypeError(f"expected a {kind.kind} payload, got {payload.kind}")
-    return payload
-
-
 def certificate_from_json(data: Mapping[str, Any]) -> CommitCertificate:
-    replies = tuple(_payload_of(SpecReply, r) for r in json_field(data, "replies", list))
+    replies = tuple(spec_reply_from_json(r) for r in json_field(data, "replies", list))
     if not replies:
         raise ValueError("a certificate packages at least one spec reply")
     return CommitCertificate(json_field(data, "cert_kind", str), replies)
 
 
-def payload_from_json(data: Mapping[str, Any]) -> Payload:
+def spec_reply_from_json(data: Mapping[str, Any]) -> SpecReply:
+    """A spec reply packaged in a faulty client's certificate: the one
+    payload that input files carry. Traces are never decoded."""
     kind = json_field(data, "kind", str)
-
-    def text(key: str) -> str:
-        return json_field(data, key, str)
-
-    def number(key: str) -> int:
-        return json_field(data, key, int)
-
-    def nested(key: str, load: Callable[[Any], Any], optional: bool = False) -> Any:
-        value = json_field(data, key, dict, optional)
-        return None if value is None else load(value)
-
-    def instance() -> InstanceId:
-        return InstanceId.parse(text("instance"))
-
-    def tuple_() -> OrderingTuple:
-        return nested("tuple", OrderingTuple.from_json)
-
-    if kind == "request":
-        return ClientRequest(text("client"), nested("command", Command.from_json))
-    if kind == "spec_order":
-        return SpecOrder(instance(), tuple_(), number("owner_number"), text("client"))
-    if kind == "spec_reply":
-        return SpecReply(
-            text("sender"),
-            text("client"),
-            instance(),
-            tuple_(),
-            number("owner_number"),
-            json_field(data, "result", str, optional=True) or "",
-        )
-    if kind == "commit_fast":
-        return CommitFast(instance(), nested("certificate", certificate_from_json))
-    if kind == "commit":
-        return Commit(instance(), tuple_(), nested("certificate", certificate_from_json))
-    if kind == "commit_reply":
-        return CommitReply(text("sender"), text("client"), instance(), tuple_(), text("result"))
-    if kind == "owner_change":
-        return OwnerChangeVote(
-            text("sender"),
-            instance(),
-            number("owner_number"),
-            nested("accepted_tuple", OrderingTuple.from_json, optional=True),
-            nested("spec_reply", partial(_payload_of, SpecReply), optional=True),
-            nested("certificate", certificate_from_json, optional=True),
-        )
-    if kind == "new_owner":
-        return NewOwner(
-            instance(),
-            tuple_(),
-            number("owner_number"),
-            tuple(_payload_of(OwnerChangeVote, v) for v in json_field(data, "proof", list)),
-        )
-    raise ValueError(f"unknown payload kind {kind!r}")
+    if kind != SpecReply.kind:
+        raise TypeError(f"expected a {SpecReply.kind} payload, got {kind}")
+    return SpecReply(
+        json_field(data, "sender", str),
+        json_field(data, "client", str),
+        InstanceId.parse(json_field(data, "instance", str)),
+        OrderingTuple.from_json(json_field(data, "tuple", dict)),
+        json_field(data, "owner_number", int),
+        json_field(data, "result", str, optional=True) or "",
+    )
 
 
 def envelope_to_json(e: Envelope) -> dict[str, Any]:

@@ -198,8 +198,8 @@ def select_safe_tuple(votes: Sequence[OwnerChangeVote], cfg: Config) -> Selectio
 
 def make_vote(state: ReplicaState, cfg: Config, instance: InstanceId) -> tuple[list[Output], list[Effect]]:
     """Emit this replica's vote to move the instance to the next owner."""
-    target = state.current_owner_number(cfg, instance) + 1
-    if (instance, target) in state.voted:
+    target = state.next_vote(cfg, instance)
+    if target is None:
         return [], [{"type": "drop", "node": state.id, "reason": "already_voted",
                      "instance": str(instance)}]
     state.voted.add((instance, target))

@@ -144,6 +144,12 @@ class ReplicaState:
     def current_owner_number(self, cfg: Config, instance: InstanceId) -> OwnerNumber:
         return self.owner_numbers.get(instance, cfg.default_owner_number(instance))
 
+    def next_vote(self, cfg: Config, instance: InstanceId) -> OwnerNumber | None:
+        """The owner number this replica's next vote moves an instance
+        into, or None once it has voted for that number."""
+        target = self.current_owner_number(cfg, instance) + 1
+        return None if (instance, target) in self.voted else target
+
     def interfering_instances(self, cmd: Command) -> frozenset[InstanceId]:
         return frozenset(
             i for i, rec in self.log.items() if interferes(rec.tuple.command, cmd)

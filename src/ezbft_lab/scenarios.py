@@ -30,6 +30,8 @@ reports the property checkers derive from it.
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import dataclass
 from importlib import resources
 
@@ -68,39 +70,8 @@ EXEC_CONSISTENCY = "exec-consistency"
 LIVENESS = "liveness"
 SCENARIO_NAMES = (SAFETY, EXEC_CONSISTENCY, LIVENESS)
 
-# What the checkers must report for each scenario, frozen as
-# (property, details) pairs in checker order.
-EXPECTED_REPORTS: dict[str, tuple[tuple[str, str], ...]] = {
-    SAFETY: (
-        (
-            "agreement",
-            "instance R.0 committed as a[]@1 by R; a[T.0]@2 by L,Q",
-        ),
-    ),
-    EXEC_CONSISTENCY: (
-        (
-            "dependency_inclusion",
-            "a@R.0 and b@Q.0 committed with neither depending on the other",
-        ),
-        (
-            "execution_consistency",
-            "interfering pair (a,b) committed with no dependency either way: "
-            "their execution order is unconstrained",
-        ),
-    ),
-    LIVENESS: (
-        (
-            "agreement",
-            "instance R.0 committed as a[]@1 by R; a[T.0]@2 by L",
-        ),
-        (
-            "liveness",
-            "commands never committed: b from c2; owner change for R.0 at "
-            "number 1 found conflicting certified tuples a[]@1 vs a[T.0]@2 "
-            "and no rule resolves them",
-        ),
-    ),
-}
+# The packaged artifact file of each kind, per scenario and in --out.
+_ARTIFACT_FILES = {"schedule": "schedule.json", "trace": "trace.jsonl", "reports": "reports.json"}
 
 
 class ScenarioError(Exception):
@@ -430,9 +401,11 @@ def build_scenario(name: str) -> ScenarioRun:
 
 
 def expected_summaries(name: str) -> tuple[tuple[str, str], ...]:
-    if name not in EXPECTED_REPORTS:
+    """The (property, details) pairs of the scenario's packaged reports."""
+    if name not in _BUILDERS:
         raise UnknownScenario(name)
-    return EXPECTED_REPORTS[name]
+    reports = json.loads(golden_text(name, "reports"))["reports"]
+    return tuple((r["property"], r["details"]) for r in reports)
 
 
 def report_summaries(run: ScenarioRun) -> tuple[tuple[str, str], ...]:
@@ -441,32 +414,24 @@ def report_summaries(run: ScenarioRun) -> tuple[tuple[str, str], ...]:
 
 def write_artifacts(run: ScenarioRun, out_dir: str) -> dict[str, str]:
     """Write schedule.json, trace.jsonl, and reports.json into a directory."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "schedule": os.path.join(out_dir, "schedule.json"),
-        "trace": os.path.join(out_dir, "trace.jsonl"),
-        "reports": os.path.join(out_dir, "reports.json"),
-    }
-    run.schedule.write(paths["schedule"])
-    run.trace.write(paths["trace"])
-    with open(paths["reports"], "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(run.reports_json()) + "\n")
+    paths: dict[str, str] = {}
+    for kind, file_name in _ARTIFACT_FILES.items():
+        paths[kind] = os.path.join(out_dir, file_name)
+        with open(paths[kind], "w", encoding="utf-8") as fh:
+            fh.write(artifact_text(run, kind))
     return paths
 
 
 def golden_text(name: str, kind: str) -> str:
     """Packaged reference artifact for a scenario: kind is one of
     'schedule', 'trace', 'reports'."""
-    suffix = {"schedule": "schedule.json", "trace": "trace.jsonl", "reports": "reports.json"}[kind]
-    return (
-        resources.files("ezbft_lab.data").joinpath(f"{name}.{suffix}").read_text("utf-8")
-    )
+    file_name = f"{name}.{_ARTIFACT_FILES[kind]}"
+    return resources.files("ezbft_lab.data").joinpath(file_name).read_text("utf-8")
 
 
 def artifact_text(run: ScenarioRun, kind: str) -> str:
-    """The same bytes write_artifacts writes, as a string."""
+    """The bytes write_artifacts writes for one kind, as a string."""
     if kind == "schedule":
         return canonical_json(run.schedule.to_json()) + "\n"
     if kind == "trace":

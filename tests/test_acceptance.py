@@ -17,7 +17,6 @@ from ezbft_lab.checkers import Observations, check_liveness, run_checkers, verif
 from ezbft_lab.cli import main
 from ezbft_lab.core import (
     Command,
-    Config,
     InstanceId,
     OrderingTuple,
     canonical_json,
@@ -44,12 +43,8 @@ from ezbft_lab.scenarios import (
 )
 from ezbft_lab.simnet import WorkItem, run
 
-CORRECT = Config(4, 1, ("R", "L", "Q", "T"))
-BYZ = Config(
-    4, 1, ("R", "L", "Q", "T"),
-    byzantine_ids=frozenset({"T"}),
-    faulty_client_ids=frozenset({"c1"}),
-)
+from shared import BYZ, CORRECT, two_commands
+
 CHECKED = ("agreement", "validity", "liveness")
 
 SUITE = settings(
@@ -70,13 +65,6 @@ def _workload(*items):
 
 def _one_command():
     return _workload(("c1", Command("a", "c1", "k", "va"), "R"))
-
-
-def _two_commands(second_target):
-    return _workload(
-        ("c1", Command("a", "c1", "k", "va"), "R"),
-        ("c2", Command("b", "c2", "k", "vb"), second_target),
-    )
 
 
 def test_criterion_1_scripted_divergence_reproduces_in_under_a_second():
@@ -173,7 +161,7 @@ def test_criterion_5_honest_configurations_are_exhaustively_clean():
     )
     double = explore(
         CORRECT,
-        ExploreBounds(workload=_two_commands("Q"), max_events=8),
+        ExploreBounds(workload=two_commands("Q"), max_events=8),
         properties=CHECKED,
     )
     elapsed = time.monotonic() - start
@@ -194,14 +182,14 @@ def test_criterion_6_exploration_rediscovers_the_scripted_violations():
 
     dep = explore(
         CORRECT,
-        ExploreBounds(workload=_two_commands("Q"), max_events=10),
+        ExploreBounds(workload=two_commands("Q"), max_events=10),
         properties=("dependency_inclusion",),
     )
     assert "dependency_inclusion" in dep.found_properties()
 
     byz = explore(
         BYZ,
-        ExploreBounds(workload=_two_commands("T"), max_events=14),
+        ExploreBounds(workload=two_commands("T"), max_events=14),
         properties=("agreement", "liveness"),
     )
     assert byz.found_properties() == ("agreement", "liveness")
@@ -236,7 +224,7 @@ def test_criterion_7_runs_are_deterministic_and_goldens_stable():
         for kind in ("schedule", "trace", "reports"):
             assert artifact_text(fresh, kind) == golden_text(name, kind)
 
-    bounds = ExploreBounds(workload=_two_commands("T"), max_events=14)
+    bounds = ExploreBounds(workload=two_commands("T"), max_events=14)
     once = explore(BYZ, bounds, properties=("agreement",))
     again = explore(BYZ, bounds, properties=("agreement",))
     assert [(r.to_json(), s.to_json()) for r, s in once.violations] == [

@@ -1,6 +1,7 @@
 """Property checkers over run observations: positives, negatives, and the
 report verifier. Scenario-independent cases build observations by hand."""
 
+import dataclasses
 import json
 
 import pytest
@@ -24,11 +25,11 @@ from ezbft_lab.checkers import (
     run_checkers,
     verify_report,
 )
-from ezbft_lab.core import Command, Config, InstanceId
+from ezbft_lab.core import Command, Config, InstanceId, OrderingTuple
 from ezbft_lab.explorer import extend_with_tail
 from ezbft_lab.messages import CommitCertificate
 from ezbft_lab.scenarios import SCENARIO_NAMES, build_happy_path, build_scenario, golden_text
-from ezbft_lab.simnet import ADVERSARY, DELIVER, Event, Sim, Trace, WorkItem, run
+from ezbft_lab.simnet import ADVERSARY, DELIVER, Event, Schedule, Sim, Trace, WorkItem, run
 
 
 def _commit(replica, instance, cmd, deps, seq, seq_no=0):
@@ -101,30 +102,42 @@ def test_validity_flags_unproposed_commands(cfg, cmd_a):
     assert report.details == "unproposed commands committed: zz"
 
 
-def test_validity_violation_from_a_fabricated_proposal(byz_cfg, cmd_a):
-    """A byzantine owner proposes a command no client sent; a faulty client
-    packages the resulting unanimous replies and commits it at one replica."""
-    ghost = Command("g", "c1", "k", "vg")
-    from ezbft_lab.core import OrderingTuple
+GHOST = Command("g", "c1", "k", "vg")
 
-    sim = Sim(byz_cfg, (WorkItem("c1", cmd_a, "R"),))
-    fabricated = OrderingTuple(ghost, frozenset(), 1)
-    sim.apply(Event(ADVERSARY, node="T", choice=ByzantineChoice(
+
+def _fabricated_proposal(byz_cfg, cmd_a):
+    """A byzantine owner proposes a command no client sent; a faulty client
+    packages the resulting unanimous replies and commits it at one replica.
+    Returns the Sim and the schedule of the events applied to it."""
+    workload = (WorkItem("c1", cmd_a, "R"),)
+    sim = Sim(byz_cfg, workload)
+    events = []
+
+    def apply(event):
+        events.append(event)
+        sim.apply(event)
+
+    fabricated = OrderingTuple(GHOST, frozenset(), 1)
+    apply(Event(ADVERSARY, node="T", choice=ByzantineChoice(
         BYZ_EQUIVOCATE_SPEC_ORDER, branches=(fabricated,))))
     while True:
         proto = [e for e in sim.pending() if e.payload.kind != "request"]
         if not proto:
             break
-        sim.apply(Event(DELIVER, message=proto[0].id))
+        apply(Event(DELIVER, message=proto[0].id))
 
     received = sim.clients["c1"].received
     assert len(received) == 4  # three honest acceptances plus T's own reply
     cert = CommitCertificate("fast", tuple(sorted(received, key=lambda r: r.sender)))
-    sim.apply(Event(ADVERSARY, node="c1", choice=FaultyClientChoice(
+    apply(Event(ADVERSARY, node="c1", choice=FaultyClientChoice(
         FAULTY_SELECTIVE, "g", certificates=((cert, ("R",)),))))
     commit_env = [e for e in sim.pending() if e.payload.kind == "commit_fast"][0]
-    sim.apply(Event(DELIVER, message=commit_env.id))
+    apply(Event(DELIVER, message=commit_env.id))
+    return sim, Schedule(byz_cfg, workload, tuple(events))
 
+
+def test_validity_violation_from_a_fabricated_proposal(byz_cfg, cmd_a):
+    sim, _schedule = _fabricated_proposal(byz_cfg, cmd_a)
     report = check_validity(Observations.from_sim(sim))
     assert report is not None
     assert report.details == "unproposed commands committed: g"
@@ -377,6 +390,114 @@ def test_verify_report_checks_divergence_witnesses(cfg, cmd_a, cmd_b):
     assert not verify_report(_with_witness(report, 0, order="a<b"), agreeing)
     # A pair that never committed.
     assert not verify_report(_with_witness(report, 1, pair=["a", "z"]), obs)
+
+
+def test_verify_report_checks_validity_witnesses(byz_cfg, cmd_a):
+    sim, schedule = _fabricated_proposal(byz_cfg, cmd_a)
+    report = check_validity(Observations.from_sim(sim))
+    _sim, trace = run(schedule, record_trace=True)
+    obs = Observations.from_trace(trace)
+    assert verify_report(report, obs)
+    # The same commit, but g is now a proposed command.
+    proposing = dataclasses.replace(obs, workload=obs.workload + (WorkItem("c1", GHOST, "R"),))
+    assert not verify_report(report, proposing)
+    # A witness that is no correct replica's commit: L never committed g,
+    # and T's commits do not count.
+    assert not verify_report(_with_witness(report, 0, replica="L"), obs)
+    assert not verify_report(_with_witness(report, 0, replica="T"), obs)
+
+
+def _golden_liveness(tmp_path):
+    """The liveness golden's liveness report and the observations of its
+    golden trace."""
+    path = tmp_path / "liveness.trace.jsonl"
+    path.write_text(golden_text("liveness", "trace"), encoding="utf-8")
+    obs = Observations.from_trace(Trace.read(str(path)))
+    reports = json.loads(golden_text("liveness", "reports"))["reports"]
+    data = next(d for d in reports if d["property"] == "liveness")
+    return ViolationReport.from_json(data), obs
+
+
+def _witnesses(report, witnesses):
+    return ViolationReport(report.property, tuple(witnesses), report.trace_slice, report.details)
+
+
+def _rewritten_conflict(stuck, conflict):
+    moved = {**conflict["conflict"], "leader": "T", "instance": "Q.7"}
+    return [stuck, {"conflict": moved, "seq_no": 0}]
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda stuck, conflict: [stuck],
+        _rewritten_conflict,
+        lambda stuck, conflict: [stuck, {**conflict, "seq_no": conflict["seq_no"] + 1}],
+        lambda stuck, conflict: [{**stuck, "client": "c1"}, conflict],
+        lambda stuck, conflict: [stuck, conflict, {"note": "neither kind"}],
+        lambda stuck, conflict: [conflict],
+        lambda stuck, conflict: [{"stuck_command": "a", "client": "c1"}, conflict],
+    ],
+    ids=[
+        "no-conflict-witness",
+        "conflict-of-no-selection",
+        "conflict-at-another-seq-no",
+        "stuck-command-of-a-faulty-client",
+        "witness-of-neither-kind",
+        "no-stuck-witness",
+        "stuck-command-that-committed",
+    ],
+)
+def test_verify_report_rejects_tampered_liveness_witnesses(tmp_path, tamper):
+    report, obs = _golden_liveness(tmp_path)
+    assert verify_report(report, obs)
+    stuck, conflict = report.witnesses
+    assert not verify_report(_witnesses(report, tamper(stuck, conflict)), obs)
+
+
+def _with_a_later_conflict(obs, **changes):
+    """The observations plus a copy, one seq number later and changed as
+    given, of their conflict selection."""
+    selection = obs.selections[0]
+    later = {**selection, "seq_no": selection["seq_no"] + 1, **changes}
+    return dataclasses.replace(obs, selections=obs.selections + [later])
+
+
+def _liveness_observed_otherwise(obs, cmd_b):
+    conflict_seq_no = obs.selections[0]["seq_no"]
+    byzantine_l = dataclasses.replace(obs.config, byzantine_ids=frozenset({"L"}))
+    return {
+        # No tail, or a message still pending: nothing is known to be stuck.
+        "no-tail": dataclasses.replace(obs, tail_start=None),
+        "pending-message": dataclasses.replace(obs, pending_count=1),
+        # The stuck command did commit at a correct replica.
+        "stuck-command-committed": dataclasses.replace(
+            obs, commits=obs.commits + [_commit("Q", "T.0", cmd_b, [], 1, conflict_seq_no)]
+        ),
+        # The cited conflict came before the tail; a later one did not.
+        "conflict-before-the-tail": dataclasses.replace(
+            _with_a_later_conflict(obs), tail_start=conflict_seq_no + 1
+        ),
+        # The cited conflict's leader L is byzantine; Q's later one counts.
+        "conflict-of-a-byzantine-leader": dataclasses.replace(
+            _with_a_later_conflict(obs, leader="Q"), config=byzantine_l
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "no-tail",
+        "pending-message",
+        "stuck-command-committed",
+        "conflict-before-the-tail",
+        "conflict-of-a-byzantine-leader",
+    ],
+)
+def test_verify_report_checks_liveness_witnesses_against_the_observations(tmp_path, cmd_b, case):
+    report, obs = _golden_liveness(tmp_path)
+    assert not verify_report(report, _liveness_observed_otherwise(obs, cmd_b)[case])
 
 
 def test_report_json_round_trip():

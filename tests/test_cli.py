@@ -168,6 +168,21 @@ def test_replay_of_a_malformed_schedule_is_an_error(tmp_path, capsys, content, f
     assert err.startswith("error: malformed schedule") and field in err
 
 
+def test_replay_of_a_certificate_holding_another_payload_kind_is_an_error(tmp_path, capsys):
+    """A certificate packages spec replies only; a commit reply with all its
+    fields in their place is refused when the schedule is read."""
+    data = build_scenario("safety").schedule.to_json()
+    event = next(e for e in data["events"] if (e.get("choice") or {}).get("certificates"))
+    reply = event["choice"]["certificates"][0]["certificate"]["replies"][0]
+    reply["kind"] = "commit_reply"
+    del reply["owner_number"]
+    schedule = tmp_path / "bad.schedule.json"
+    schedule.write_text(json.dumps(data))
+    assert main(["replay", str(schedule)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed schedule") and "spec_reply" in err
+
+
 def test_check_of_a_malformed_trace_is_an_error(tmp_path, capsys):
     good = build_scenario("liveness").trace.serialize().splitlines()
     trace = tmp_path / "bad.trace.jsonl"

@@ -10,24 +10,11 @@ import itertools
 import pytest
 
 from ezbft_lab import explorer
-from ezbft_lab.core import Command, Config
 from ezbft_lab.explorer import ExploreBounds, explore
-from ezbft_lab.simnet import WorkItem
 
-CORRECT = Config(4, 1, ("R", "L", "Q", "T"))
-BYZ = Config(
-    4, 1, ("R", "L", "Q", "T"),
-    byzantine_ids=frozenset({"T"}),
-    faulty_client_ids=frozenset({"c1"}),
-)
+from shared import BYZ, CORRECT, two_commands
+
 HISTORY_PROPERTIES = ("agreement", "validity", "liveness")
-
-
-def _two_commands(second_target):
-    return (
-        WorkItem("c1", Command("a", "c1", "k", "va"), "R"),
-        WorkItem("c2", Command("b", "c2", "k", "vb"), second_target),
-    )
 
 
 def _found_with_and_without_dedup(monkeypatch, config, bounds, properties):
@@ -49,7 +36,7 @@ def _found_with_and_without_dedup(monkeypatch, config, bounds, properties):
 def test_dedup_keeps_agreement_validity_and_liveness_findings(
     monkeypatch, config, second_target, max_events
 ):
-    bounds = ExploreBounds(workload=_two_commands(second_target), max_events=max_events)
+    bounds = ExploreBounds(workload=two_commands(second_target), max_events=max_events)
     with_dedup, without = _found_with_and_without_dedup(
         monkeypatch, config, bounds, HISTORY_PROPERTIES
     )
@@ -66,7 +53,7 @@ def test_dedup_keeps_agreement_validity_and_liveness_findings(
     ),
 )
 def test_dedup_keeps_ordering_findings(monkeypatch):
-    bounds = ExploreBounds(workload=_two_commands("Q"), max_events=4)
+    bounds = ExploreBounds(workload=two_commands("Q"), max_events=4)
     with_dedup, without = _found_with_and_without_dedup(monkeypatch, CORRECT, bounds, None)
     assert without == ("dependency_inclusion", "execution_consistency")
     assert with_dedup == without

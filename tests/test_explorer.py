@@ -26,12 +26,7 @@ from ezbft_lab.explorer import (
 from ezbft_lab.scenarios import build_scenario
 from ezbft_lab.simnet import DELIVER, Event, Schedule, Sim, WorkItem, run
 
-CORRECT = Config(4, 1, ("R", "L", "Q", "T"))
-BYZ = Config(
-    4, 1, ("R", "L", "Q", "T"),
-    byzantine_ids=frozenset({"T"}),
-    faulty_client_ids=frozenset({"c1"}),
-)
+from shared import BYZ, CORRECT, two_commands
 
 
 def _workload(*items):
@@ -40,13 +35,6 @@ def _workload(*items):
 
 def _one_command():
     return _workload(("c1", Command("a", "c1", "k", "va"), "R"))
-
-
-def _two_commands(second_target):
-    return _workload(
-        ("c1", Command("a", "c1", "k", "va"), "R"),
-        ("c2", Command("b", "c2", "k", "vb"), second_target),
-    )
 
 
 def _replay_reports(schedule, properties):
@@ -76,7 +64,7 @@ def test_explore_rejects_unknown_properties():
 def test_explore_rejects_faulty_clients_without_a_workload_item(faulty):
     config = Config(4, 1, CORRECT.replica_ids, faulty_client_ids=frozenset({faulty}))
     with pytest.raises(ValueError, match=f"without a workload item: {faulty}"):
-        explore(config, ExploreBounds(workload=_two_commands("Q"), max_events=2))
+        explore(config, ExploreBounds(workload=two_commands("Q"), max_events=2))
 
 
 def test_explore_rejects_workload_targets_that_are_not_replicas():
@@ -99,7 +87,7 @@ def test_explore_honest_small_run_is_clean_and_exhausted():
 
 
 def test_explore_rediscovers_byzantine_divergence_and_dead_end():
-    bounds = ExploreBounds(workload=_two_commands("T"), max_events=14)
+    bounds = ExploreBounds(workload=two_commands("T"), max_events=14)
     result = explore(BYZ, bounds, properties=["agreement", "liveness"])
 
     assert result.found_properties() == ("agreement", "liveness")
@@ -116,7 +104,7 @@ def test_explore_rediscovers_byzantine_divergence_and_dead_end():
 
 
 def test_minimized_schedules_replay_to_their_reports():
-    bounds = ExploreBounds(workload=_two_commands("T"), max_events=14)
+    bounds = ExploreBounds(workload=two_commands("T"), max_events=14)
     result = explore(BYZ, bounds, properties=["agreement", "liveness"])
     for report, schedule in result.violations:
         replayed = _replay_reports(schedule, [report.property])
@@ -124,7 +112,7 @@ def test_minimized_schedules_replay_to_their_reports():
 
 
 def test_explore_is_deterministic():
-    bounds = ExploreBounds(workload=_two_commands("T"), max_events=14)
+    bounds = ExploreBounds(workload=two_commands("T"), max_events=14)
     first = explore(BYZ, bounds, properties=["agreement", "liveness"])
     second = explore(BYZ, bounds, properties=["agreement", "liveness"])
     assert first.states_visited == second.states_visited
@@ -174,7 +162,7 @@ def test_search_outcome_does_not_depend_on_the_hash_seed():
 
 
 def test_explore_early_stop_reports_not_exhausted():
-    bounds = ExploreBounds(workload=_two_commands("T"), max_events=14)
+    bounds = ExploreBounds(workload=two_commands("T"), max_events=14)
     result = explore(BYZ, bounds, properties=["agreement"])
     assert result.found_properties() == ("agreement",)
     assert not result.exhausted  # stopped as soon as the target was found

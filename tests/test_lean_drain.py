@@ -27,7 +27,7 @@ import pytest
 
 from ezbft_lab import explorer, simnet
 from ezbft_lab.checkers import Observations, run_checkers
-from ezbft_lab.core import Command, Config
+from ezbft_lab.core import Config
 from ezbft_lab.explorer import ExploreBounds, enabled_moves, explore, extend_with_tail
 from ezbft_lab.simnet import (
     ADVERSARY,
@@ -36,8 +36,10 @@ from ezbft_lab.simnet import (
     ScheduleError,
     Sim,
     TransitionMemo,
-    WorkItem,
 )
+
+from shared import two_commands
+
 
 REPLICAS = ("R", "L", "Q", "T")
 CONFIGS = {
@@ -51,13 +53,6 @@ CONFIGS = {
 SEARCH_DEPTH = 4
 WALKS = 6
 WALK_DEPTH = 10
-
-
-def _two_commands(second_target):
-    return (
-        WorkItem("c1", Command("a", "c1", "k", "va"), "R"),
-        WorkItem("c2", Command("b", "c2", "k", "vb"), second_target),
-    )
 
 
 @pytest.fixture
@@ -156,7 +151,7 @@ def _assert_tail_matches_apply(sim, bounds, lean_first, resets):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_every_search_terminal_tail_matches_apply(monkeypatch, resets, name):
     config = CONFIGS[name]
-    bounds = ExploreBounds(workload=_two_commands("T"), max_events=SEARCH_DEPTH)
+    bounds = ExploreBounds(workload=two_commands("T"), max_events=SEARCH_DEPTH)
     checked = [0]
 
     def checking_tail(sim, tail_bounds):
@@ -176,7 +171,7 @@ def test_every_search_terminal_tail_matches_apply(monkeypatch, resets, name):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_seeded_walk_tails_match_apply(resets, name, memo):
     config = CONFIGS[name]
-    workload = _two_commands("T")
+    workload = two_commands("T")
     bounds = ExploreBounds(workload=workload, max_events=WALK_DEPTH)
     shared = TransitionMemo() if memo else None
     kinds = set()
@@ -208,7 +203,7 @@ def test_seeded_walk_tails_match_apply(resets, name, memo):
 @pytest.mark.parametrize("memo", [True, False], ids=["memo", "plain"])
 def test_a_drain_cut_short_leaves_the_rest_pending(monkeypatch, memo):
     monkeypatch.setattr(simnet, "DRAIN_CAP", 3)
-    sim = Sim(CONFIGS["honest"], _two_commands("Q"), memo=TransitionMemo() if memo else None)
+    sim = Sim(CONFIGS["honest"], two_commands("Q"), memo=TransitionMemo() if memo else None)
     traced, reference = sim.clone(), _reference(sim)
     traced.record_trace = True
     for twin in (sim, traced, reference):

@@ -16,26 +16,14 @@ import random
 
 import pytest
 
-from ezbft_lab.core import Command, Config
 from ezbft_lab.explorer import ExploreBounds, _state_key, enabled_moves, extend_with_tail
 from ezbft_lab.scenarios import SCENARIO_NAMES, golden_text
-from ezbft_lab.simnet import ADVERSARY, Schedule, ScheduleError, Sim, WorkItem, run
+from ezbft_lab.simnet import ADVERSARY, Schedule, ScheduleError, Sim, run
 
-CORRECT = Config(4, 1, ("R", "L", "Q", "T"))
-BYZ = Config(
-    4, 1, ("R", "L", "Q", "T"),
-    byzantine_ids=frozenset({"T"}),
-    faulty_client_ids=frozenset({"c1"}),
-)
+from shared import BYZ, CORRECT, two_commands
+
 WALKS = 12
 DEPTH = 14
-
-
-def _two_commands(second_target):
-    return (
-        WorkItem("c1", Command("a", "c1", "k", "va"), "R"),
-        WorkItem("c2", Command("b", "c2", "k", "vb"), second_target),
-    )
 
 
 def _view(sim, acted):
@@ -115,7 +103,7 @@ def _assert_coherent(sim, acted):
     "config, second_target", [(CORRECT, "Q"), (BYZ, "T")], ids=["honest", "byzantine"]
 )
 def test_cached_keys_match_recomputation_and_clones_are_isolated(installed, config, second_target):
-    workload = _two_commands(second_target)
+    workload = two_commands(second_target)
     bounds = ExploreBounds(workload=workload, max_events=DEPTH)
     kinds = set()
     for seed in range(WALKS):
@@ -163,7 +151,7 @@ def test_replaying_a_golden_never_changes_an_installed_node(installed, name):
 
 
 def test_a_parent_mutated_after_cloning_leaves_the_clone_alone(cfg):
-    sim = Sim(cfg, _two_commands("Q"))
+    sim = Sim(cfg, two_commands("Q"))
     twin = sim.clone()
     before = _view(twin, frozenset())
     moves = enabled_moves(sim, ExploreBounds(workload=sim.workload, max_events=4), frozenset())

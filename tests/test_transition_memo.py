@@ -15,25 +15,14 @@ import random
 import pytest
 
 from ezbft_lab import simnet
-from ezbft_lab.core import Command, Config, canonical_json
+from ezbft_lab.core import canonical_json
 from ezbft_lab.explorer import ExploreBounds, enabled_moves, explore, extend_with_tail
-from ezbft_lab.simnet import ADVERSARY, MEMO_CAP, ScheduleError, Sim, TransitionMemo, WorkItem
+from ezbft_lab.simnet import ADVERSARY, MEMO_CAP, ScheduleError, Sim, TransitionMemo
 
-CORRECT = Config(4, 1, ("R", "L", "Q", "T"))
-BYZ = Config(
-    4, 1, ("R", "L", "Q", "T"),
-    byzantine_ids=frozenset({"T"}),
-    faulty_client_ids=frozenset({"c1"}),
-)
+from shared import BYZ, CORRECT, two_commands
+
 WALKS = 20
 DEPTH = 12
-
-
-def _two_commands(second_target):
-    return (
-        WorkItem("c1", Command("a", "c1", "k", "va"), "R"),
-        WorkItem("c2", Command("b", "c2", "k", "vb"), second_target),
-    )
 
 
 def _view(sim):
@@ -68,7 +57,7 @@ def _collect(memo, stored):
 )
 def test_memo_sim_matches_a_plain_sim_in_lockstep(monkeypatch, config, second_target, cap):
     monkeypatch.setattr(simnet, "MEMO_CAP", cap)
-    workload = _two_commands(second_target)
+    workload = two_commands(second_target)
     bounds = ExploreBounds(workload=workload, max_events=DEPTH)
     memo = TransitionMemo()
     stored: dict[int, tuple] = {}
@@ -113,7 +102,7 @@ def test_memo_sim_matches_a_plain_sim_in_lockstep(monkeypatch, config, second_ta
 
 
 def test_search_reports_reused_transitions():
-    bounds = ExploreBounds(workload=_two_commands("Q"), max_events=4)
+    bounds = ExploreBounds(workload=two_commands("Q"), max_events=4)
     result = explore(CORRECT, bounds, properties=("agreement", "validity", "liveness"))
     assert result.exhausted and not result.violations
     assert result.transitions_computed > 0
@@ -143,7 +132,7 @@ def test_every_memo_step_is_looked_up_once(monkeypatch, config, second_target, m
         return lookup(memo, state, key)
 
     monkeypatch.setattr(TransitionMemo, "lookup", counting)
-    bounds = ExploreBounds(workload=_two_commands(second_target), max_events=max_events)
+    bounds = ExploreBounds(workload=two_commands(second_target), max_events=max_events)
     result = explore(config, bounds, properties)
     assert result.transitions_reused > 0
     assert calls[0] == result.transitions_computed + result.transitions_reused

@@ -52,12 +52,8 @@ from ezbft_lab.simnet import (
     WorkItem,
 )
 
-CORRECT = Config(4, 1, ("R", "L", "Q", "T"))
-BYZ = Config(
-    4, 1, ("R", "L", "Q", "T"),
-    byzantine_ids=frozenset({"T"}),
-    faulty_client_ids=frozenset({"c1"}),
-)
+from shared import BYZ, CORRECT
+
 ESCAPED = Config(4, 1, ('R"', "Lé", "Q\\", "T☃"))
 CACHED_HASH = (
     OrderingTuple,

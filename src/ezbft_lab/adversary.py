@@ -11,7 +11,7 @@ it never received.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from . import client as client_mod
 from . import owner_change, replica
@@ -156,15 +156,14 @@ def _byz_effect(node: str, action: str, detail: str = "") -> Effect:
     return eff
 
 
-def _take_item(
-    inbox: Sequence[tuple[str, Any]], consumed: set[int], item: int | None
-) -> tuple[str, Any]:
-    if item is None or not 0 <= item < len(inbox):
+def _take_item(state: ReplicaState, item: int | None) -> tuple[str, Any]:
+    """Consume inbox item ``item`` of ``state`` and return it."""
+    if item is None or not 0 <= item < len(state.inbox):
         raise BadChoice(f"no inbox item {item!r}")
-    if item in consumed:
+    if item in state.consumed:
         raise BadChoice(f"inbox item {item} already consumed")
-    consumed.add(item)
-    return inbox[item]
+    state.consumed |= {item}
+    return state.inbox[item]
 
 
 def honest_step(
@@ -186,15 +185,11 @@ def honest_step(
 
 
 def byz_spec_replies(
-    state: ReplicaState,
-    cfg: Config,
-    inbox: Sequence[tuple[str, Any]],
-    consumed: set[int],
-    choice: ByzantineChoice,
+    state: ReplicaState, cfg: Config, choice: ByzantineChoice
 ) -> tuple[list[Output], list[Effect]]:
     """Equivocate on a received SPEC-ORDER: one reply per branch tuple, all
     addressed to the proposing client, each well-formed on its own."""
-    sender, payload = _take_item(inbox, consumed, choice.item)
+    sender, payload = _take_item(state, choice.item)
     if not isinstance(payload, SpecOrder):
         raise BadChoice("equivocate_spec_reply needs a SPEC-ORDER inbox item")
     if len(choice.branches) < 2:
@@ -265,24 +260,21 @@ def byz_spec_orders(
 
 
 def apply_byzantine(
-    state: ReplicaState,
-    cfg: Config,
-    inbox: Sequence[tuple[str, Any]],
-    consumed: set[int],
-    choice: ByzantineChoice,
+    state: ReplicaState, cfg: Config, choice: ByzantineChoice
 ) -> tuple[list[Output], list[Effect]]:
-    """Apply one byzantine choice against the replica's shadow state."""
+    """Apply one byzantine choice against the replica's shadow state,
+    consuming the inbox item it names."""
     if state.id not in cfg.byzantine_ids:
         raise BadChoice(f"{state.id} is not byzantine")
     if choice.kind == BYZ_HONEST:
-        sender, payload = _take_item(inbox, consumed, choice.item)
+        sender, payload = _take_item(state, choice.item)
         outputs, effects = honest_step(state, cfg, sender, payload)
         return outputs, [_byz_effect(state.id, choice.kind)] + effects
     if choice.kind == BYZ_SILENT:
-        _take_item(inbox, consumed, choice.item)
+        _take_item(state, choice.item)
         return [], [_byz_effect(state.id, choice.kind)]
     if choice.kind == BYZ_EQUIVOCATE_SPEC_REPLY:
-        return byz_spec_replies(state, cfg, inbox, consumed, choice)
+        return byz_spec_replies(state, cfg, choice)
     if choice.kind == BYZ_ARBITRARY_VOTE:
         return byz_owner_change_vote(state, cfg, choice)
     if choice.kind == BYZ_EQUIVOCATE_SPEC_ORDER:
@@ -290,12 +282,14 @@ def apply_byzantine(
     raise BadChoice(f"unknown byzantine choice kind {choice.kind!r}")
 
 
-def faulty_client_certificates(
+def apply_faulty_client(
     state: client_mod.ClientState, cfg: Config, choice: FaultyClientChoice
 ) -> tuple[list[Output], list[Effect]]:
     """Package received replies into certificates and send them wherever the
     choice says. Packaging a reply that was never received raises
     ForgedReply: that is the one thing a faulty client cannot do."""
+    if state.id not in cfg.faulty_client_ids:
+        raise BadChoice(f"{state.id} is not a faulty client")
     if choice.kind == FAULTY_HONEST:
         return _faulty_honest(state, cfg, choice)
     if choice.kind not in (FAULTY_SPLIT, FAULTY_SELECTIVE):
@@ -350,10 +344,3 @@ def _faulty_honest(
         )
     return outputs, [{"type": "faulty_client", "node": state.id, "action": FAULTY_HONEST}] + effects
 
-
-def apply_faulty_client(
-    state: client_mod.ClientState, cfg: Config, choice: FaultyClientChoice
-) -> tuple[list[Output], list[Effect]]:
-    if state.id not in cfg.faulty_client_ids:
-        raise BadChoice(f"{state.id} is not a faulty client")
-    return faulty_client_certificates(state, cfg, choice)

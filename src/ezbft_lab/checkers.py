@@ -441,14 +441,28 @@ def run_checkers(
     return reports, notes
 
 
+# The commit fields a witness may cite.
+_COMMIT_FIELDS = ("replica", "instance", "tuple", "owner_number", "via", "seq_no")
+
+
 def verify_report(report: ViolationReport, obs: Observations) -> bool:
     """Re-confirm a report from its witnesses against independent
-    observations. Used to validate minimized schedules and golden files."""
+    observations. Used to validate minimized schedules and golden files.
+
+    Every property shares one rule: a witness that cites a tuple must equal
+    a correct replica's observed commit on every commit field it names,
+    and the trace slice must span exactly the witnesses' seq numbers (None
+    when no witness has one)."""
+    cited = _slice(w["seq_no"] for w in report.witnesses if "seq_no" in w)
+    if report.trace_slice != cited:
+        return False
+    commits = obs.correct_commits()
+    for w in report.witnesses:
+        if "tuple" in w and not any(
+            all(c[k] == w[k] for k in _COMMIT_FIELDS if k in w) for c in commits
+        ):
+            return False
     if report.property == AGREEMENT:
-        commit_keys = _commit_keys(obs)
-        for w in report.witnesses:
-            if (w["replica"], w["instance"], _tuple_key(w["tuple"])) not in commit_keys:
-                return False
         by_instance: dict[str, set[tuple]] = {}
         pairs_ok = False
         for w in report.witnesses:
@@ -463,11 +477,8 @@ def verify_report(report: ViolationReport, obs: Observations) -> bool:
         return pairs_ok
     if report.property == VALIDITY:
         proposed = {w.command.id for w in obs.workload}
-        commit_keys = _commit_keys(obs)
         return bool(report.witnesses) and all(
-            (w["replica"], w["instance"], _tuple_key(w["tuple"])) in commit_keys
-            and w["tuple"]["command"]["id"] not in proposed
-            for w in report.witnesses
+            w["tuple"]["command"]["id"] not in proposed for w in report.witnesses
         )
     if report.property == EXECUTION_CONSISTENCY and all("pair" in w for w in report.witnesses):
         return _verify_divergence(report.witnesses, obs)
@@ -478,23 +489,16 @@ def verify_report(report: ViolationReport, obs: Observations) -> bool:
     return False
 
 
-def _commit_keys(obs: Observations) -> set[tuple]:
-    return {(c["replica"], c["instance"], _tuple_key(c["tuple"])) for c in obs.correct_commits()}
-
-
 def _verify_uncovered_pairs(witnesses: tuple[dict[str, Any], ...], obs: Observations) -> bool:
-    """Pair witnesses, two per pair: each must be a correct replica's
-    commit of its command, the two commands must interfere, and neither
-    command's committed deps may reference an instance the other committed
-    at."""
+    """Pair witnesses, two per pair, each a correct replica's commit (checked
+    by ``verify_report``): each must name its tuple's command, the two
+    commands must interfere, and neither command's committed deps may
+    reference an instance the other committed at."""
     if not witnesses or len(witnesses) % 2:
         return False
-    commit_keys = _commit_keys(obs)
     committed = _committed_commands(obs)
     for pair in zip(witnesses[::2], witnesses[1::2]):
         for w in pair:
-            if (w["replica"], w["instance"], _tuple_key(w["tuple"])) not in commit_keys:
-                return False
             if w["command"] != w["tuple"]["command"]["id"]:
                 return False
         ea, eb = (committed[w["tuple"]["command"]["id"]] for w in pair)

@@ -14,7 +14,7 @@ same report.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable
 
 from .adversary import (
@@ -172,7 +172,8 @@ def _extension_instances(
     gammas: list[InstanceId] = []
     seen: set[InstanceId] = set(base.deps) | {instance}
     heard: list[InstanceId] = []
-    for _sender, payload in sim.inboxes[byz]:
+    inbox = sim.replicas[byz].inbox
+    for _sender, payload in inbox:
         if (
             isinstance(payload, SpecOrder)
             and payload.instance not in seen
@@ -184,7 +185,7 @@ def _extension_instances(
     phantom_cmds = sorted(
         {
             payload.command.id
-            for _sender, payload in sim.inboxes[byz]
+            for _sender, payload in inbox
             if isinstance(payload, ClientRequest) and interferes(payload.command, base.command)
         }
     )
@@ -212,9 +213,9 @@ def _byz_equivocation_moves(sim: Sim, bounds: ExploreBounds) -> list[Event]:
         return []
     moves: list[Event] = []
     for byz in sorted(sim.cfg.byzantine_ids):
-        inbox, consumed = sim.inboxes[byz], sim.consumed[byz]
-        for item, (_sender, payload) in enumerate(inbox):
-            if item in consumed or not isinstance(payload, SpecOrder):
+        state = sim.replicas[byz]
+        for item, (_sender, payload) in enumerate(state.inbox):
+            if item in state.consumed or not isinstance(payload, SpecOrder):
                 continue
             for ext in _extensions(
                 sim, byz, payload.tuple, payload.instance, bounds.byzantine_branch_tuples - 1
@@ -231,7 +232,7 @@ def _byz_claims(sim: Sim, byz: str, instance: InstanceId, cap: int) -> list[Orde
     proposals it heard for it, plus their dependency inflations."""
     claims: list[OrderingTuple] = []
     keys: set[tuple] = set()
-    for _sender, payload in sim.inboxes[byz]:
+    for _sender, payload in sim.replicas[byz].inbox:
         if isinstance(payload, SpecOrder) and payload.instance == instance:
             for candidate in [payload.tuple] + _extensions(
                 sim, byz, payload.tuple, payload.instance, max(cap - 1, 0)
@@ -456,44 +457,38 @@ def _matching_report(schedule: Schedule, prop: str, details: str) -> ViolationRe
     return None
 
 
-def minimize(schedule: Schedule, report: ViolationReport) -> Schedule:
+def minimize(
+    schedule: Schedule, report: ViolationReport
+) -> tuple[Schedule, ViolationReport]:
     """Greedy event elision: repeatedly drop single events while the replay
-    still produces the same report (same property, same details). The
-    result replays to the report and has no single removable event.
-    Raises ExploreError if the schedule does not replay to the report."""
-    if _matching_report(schedule, report.property, report.details) is None:
+    still produces the same report (same property, same details). Returns
+    the minimized schedule, which has no single removable event, and the
+    report it replays to. Raises ExploreError if the schedule does not
+    replay to the report."""
+    final = _matching_report(schedule, report.property, report.details)
+    if final is None:
         raise ExploreError("schedule does not replay to the given report")
-    events = list(schedule.events)
-    tail_start = schedule.tail_start
     changed = True
     while changed:
         changed = False
         index = 0
-        while index < len(events):
-            candidate = events[:index] + events[index + 1 :]
-            ts = (
-                tail_start - 1
-                if tail_start is not None and index < tail_start
-                else tail_start
+        while index < len(schedule.events):
+            events, tail_start = schedule.events, schedule.tail_start
+            trial = replace(
+                schedule,
+                events=events[:index] + events[index + 1 :],
+                tail_start=(
+                    tail_start - 1
+                    if tail_start is not None and index < tail_start
+                    else tail_start
+                ),
             )
-            trial = Schedule(
-                schedule.config,
-                schedule.workload,
-                tuple(candidate),
-                tail_start=ts,
-                seq_mode=schedule.seq_mode,
-            )
-            if _matching_report(trial, report.property, report.details) is not None:
-                events, tail_start, changed = candidate, ts, True
+            matched = _matching_report(trial, report.property, report.details)
+            if matched is not None:
+                schedule, final, changed = trial, matched, True
             else:
                 index += 1
-    return Schedule(
-        schedule.config,
-        schedule.workload,
-        tuple(events),
-        tail_start=tail_start,
-        seq_mode=schedule.seq_mode,
-    )
+    return schedule, final
 
 
 # -- search ----------------------------------------------------------------
@@ -548,11 +543,8 @@ def explore(
         """Minimize and store one finding; the stored report is the one the
         minimized schedule itself replays to. A finding whose schedule
         does not replay to it is a lab bug, and ``minimize`` raises."""
-        if report.property in found:
-            return
-        minimized = minimize(schedule, report)
-        final = _matching_report(minimized, report.property, report.details)
-        if final is not None:
+        if report.property not in found:
+            minimized, final = minimize(schedule, report)
             found[report.property] = (final, minimized)
 
     memo = TransitionMemo()

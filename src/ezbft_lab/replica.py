@@ -55,13 +55,18 @@ class ReplicaState:
     """One replica's full local state. Values held in containers are frozen,
     so cloning is a shallow copy of the containers.
 
+    A byzantine replica also holds what it received and has not acted on:
+    ``inbox``, the ``(sender, payload)`` pairs in arrival order, and
+    ``consumed``, the indices of the items an adversary choice used up.
+    Both are immutable values, so a clone shares them and a change installs
+    new ones; a correct replica keeps both empty.
+
     ``value()`` is the state's one identity: the transition memo
     hash-conses states by it and the search's state key is built from it.
     A Sim never changes a state once it installed it, so the state carries
-    its derived forms: ``key`` (its part of the search key, which for a
-    byzantine replica includes its inbox) and ``digest`` (the trace
-    digest), filled by the Sim on first use. Neither is a constructor
-    option or part of ``value()``."""
+    its derived forms: ``key`` (its part of the search key) and ``digest``
+    (the trace digest), filled by the Sim on first use. Neither is a
+    constructor option or part of ``value()``."""
 
     id: str
     next_slot: int = 0
@@ -79,6 +84,8 @@ class ReplicaState:
     # Execution artifacts, rebuilt by replay() whenever the log changes.
     executed: tuple[tuple[str, tuple[str, ...], int], ...] = ()
     kv: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    inbox: tuple[tuple[str, Any], ...] = ()
+    consumed: frozenset[int] = frozenset()
     key: tuple | None = field(default=None, init=False, compare=False, repr=False)
     digest: str | None = field(default=None, init=False, compare=False, repr=False)
 
@@ -94,13 +101,16 @@ class ReplicaState:
             voted=set(self.voted),
             executed=self.executed,
             kv=dict(self.kv),
+            inbox=self.inbox,
+            consumed=self.consumed,
         )
 
     def value(self) -> tuple:
         """The state as one hashable value of its frozen parts. Dicts and
         ``voted`` are sorted by key, so insertion order, on which no
         handler's result depends, is not part of it: equal values are
-        equal states."""
+        equal states. It ends with the inbox, in arrival order, and the
+        consumed indices."""
         return (
             ReplicaState,
             self.id,
@@ -113,6 +123,8 @@ class ReplicaState:
             tuple(sorted(self.voted)),
             self.executed,
             tuple(sorted(self.kv.items())),
+            self.inbox,
+            self.consumed,
         )
 
     def to_json(self) -> dict[str, Any]:

@@ -10,8 +10,8 @@ undelivered envelope stays pending until some event delivers it.
 Delivery semantics by recipient:
   - correct replica / correct client: the payload goes straight into the
     matching protocol handler;
-  - byzantine replica: the payload lands in an inbox and nothing happens
-    until an adversary event consumes it;
+  - byzantine replica: the payload lands in the inbox its state holds and
+    nothing happens until an adversary event consumes it;
   - faulty client: the payload is recorded (clients can always read their
     channel) but protocol reactions come only from adversary events.
 """
@@ -352,10 +352,10 @@ class Sim:
     A Sim never changes a node-state object once it installed it: every
     event that changes a node installs a new object, either a private copy
     the handler changed or the memo's canonical result. A byzantine
-    replica's inbox and consumed set are replaced together with its state.
-    Installed objects can therefore be shared freely, and each carries its
-    own part of the search key and its trace digest, so fingerprints and
-    trace digests are computed only for what an event installed.
+    replica's inbox and consumed set are part of its state. Installed
+    objects can therefore be shared freely, and each carries its own part
+    of the search key and its trace digest, so fingerprints and trace
+    digests are computed only for what an event installed.
 
     Every delivery, from ``apply`` or ``drain``, goes through
     ``_receive``, and every other event through ``apply``. The node's
@@ -385,8 +385,6 @@ class Sim:
         # Undelivered envelopes in emission order.
         self._pending: dict[str, Envelope] = {}
         self.counters: dict[str, int] = {}
-        self.inboxes: dict[str, list[tuple[str, Any]]] = {b: [] for b in sorted(cfg.byzantine_ids)}
-        self.consumed: dict[str, set[int]] = {b: set() for b in sorted(cfg.byzantine_ids)}
         self.seq_no = 0
         self.tail_start: int | None = None
         self.records: list[dict[str, Any]] = []
@@ -421,8 +419,6 @@ class Sim:
         twin.clients = dict(self.clients)
         twin._pending = dict(self._pending)
         twin.counters = dict(self.counters)
-        twin.inboxes = dict(self.inboxes)
-        twin.consumed = dict(self.consumed)
         twin.seq_no = self.seq_no
         twin.tail_start = self.tail_start
         twin.records = list(self.records)
@@ -434,15 +430,9 @@ class Sim:
 
     def _own(self, node: str) -> Any:
         """Install and return a private copy of ``node``'s state for an
-        event to change; a byzantine replica's inbox and consumed set are
-        copied with it."""
-        if node in self.clients:
-            state = self.clients[node] = self.clients[node].clone()
-            return state
-        state = self.replicas[node] = self.replicas[node].clone()
-        if node in self.inboxes:
-            self.inboxes[node] = list(self.inboxes[node])
-            self.consumed[node] = set(self.consumed[node])
+        event to change."""
+        nodes: dict[str, Any] = self.clients if node in self.clients else self.replicas
+        state = nodes[node] = nodes[node].clone()
         return state
 
     # -- emission and delivery ------------------------------------------
@@ -554,8 +544,8 @@ class Sim:
 
         cfg = self.cfg
         if node in cfg.byzantine_ids:
-            self._own(node)
-            self.inboxes[node].append((sender, payload))
+            state = self._own(node)
+            state.inbox += ((sender, payload),)
             return [], [{"type": "inbox", "node": node, "from": sender, "kind": payload.kind}]
 
         if node in cfg.replica_ids:
@@ -679,10 +669,7 @@ class Sim:
             if node in self.cfg.byzantine_ids:
                 if not isinstance(event.choice, ByzantineChoice):
                     raise ScheduleError(f"{node} takes byzantine choices")
-                state = self._own(node)
-                return adversary_mod.apply_byzantine(
-                    state, self.cfg, self.inboxes[node], self.consumed[node], event.choice
-                )
+                return adversary_mod.apply_byzantine(self._own(node), self.cfg, event.choice)
             if node in self.cfg.faulty_client_ids:
                 if not isinstance(event.choice, FaultyClientChoice):
                     raise ScheduleError(f"{node} takes faulty-client choices")
@@ -716,24 +703,26 @@ class Sim:
         replica's inbox of ``(sender, payload, consumed)``. Each node's part
         is cached on its state in ``key``.
         """
-        nodes = (*self.replicas.items(), *self.clients.items())
-        parts = tuple(self._key(node, state) for node, state in nodes)
+        parts = tuple(map(_key, (*self.replicas.values(), *self.clients.values())))
         return parts, _multiset(env[1:4] for env in self._pending.values())
 
-    def _key(self, node: str, state: Any) -> tuple:
-        """One node's part of the fingerprint, cached on its state."""
-        if state.key is None:
-            value = state.value()
-            if node in self.clients:
-                # value() ends with the received replies in arrival order.
-                state.key = value[:-1] + (_multiset(state.received),)
-            elif node in self.inboxes:
-                consumed = self.consumed[node]
-                inbox = self.inboxes[node]
-                state.key = value, _multiset((s, p, i in consumed) for i, (s, p) in enumerate(inbox))
-            else:
-                state.key = value
-        return state.key
+
+def _key(state: Any) -> tuple:
+    """One node's part of the fingerprint, cached on its state: its
+    ``value()`` with the arrival-ordered part it ends with made a multiset."""
+    if state.key is None:
+        value = state.value()
+        if isinstance(state, ClientState):
+            # value() ends with the received replies.
+            state.key = value[:-1] + (_multiset(state.received),)
+        elif state.inbox:
+            # value() ends with the inbox and the consumed indices.
+            consumed = state.consumed
+            inbox = _multiset((s, p, i in consumed) for i, (s, p) in enumerate(state.inbox))
+            state.key = value[:-2] + (inbox,)
+        else:
+            state.key = value
+    return state.key
 
 
 def _multiset(items: Iterable[Any]) -> frozenset:

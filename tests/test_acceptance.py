@@ -389,12 +389,9 @@ def test_criterion_8d_honest_adversary_choices_match_a_correct_replica(items):
         outputs, effects = honest_step(correct, BYZ, sender, payload)
         expected.append((outputs, effects))
 
-    byz = ReplicaState("T")
-    consumed: set[int] = set()
+    byz = ReplicaState("T", inbox=tuple(items))
     for i in range(len(items)):
-        outputs, effects = apply_byzantine(
-            byz, BYZ, items, consumed, ByzantineChoice(BYZ_HONEST, item=i)
-        )
+        outputs, effects = apply_byzantine(byz, BYZ, ByzantineChoice(BYZ_HONEST, item=i))
         exp_outputs, exp_effects = expected[i]
         assert outputs == exp_outputs
         assert effects[1:] == exp_effects

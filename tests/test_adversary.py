@@ -50,13 +50,10 @@ def test_honest_choice_matches_the_correct_handler(byz_cfg, bare):
     correct = ReplicaState("T")
     expected_outputs, expected_effects = on_spec_order(correct, byz_cfg, order, "R")
 
-    byz = ReplicaState("T")
-    consumed: set[int] = set()
-    outputs, effects = apply_byzantine(
-        byz, byz_cfg, [("R", order)], consumed, ByzantineChoice(BYZ_HONEST, item=0)
-    )
+    byz = ReplicaState("T", inbox=(("R", order),))
+    outputs, effects = apply_byzantine(byz, byz_cfg, ByzantineChoice(BYZ_HONEST, item=0))
 
-    assert consumed == {0}
+    assert byz.consumed == {0}
     assert outputs == expected_outputs
     assert effects[0]["action"] == BYZ_HONEST
     assert effects[1:] == expected_effects
@@ -64,40 +61,37 @@ def test_honest_choice_matches_the_correct_handler(byz_cfg, bare):
 
 
 def test_silent_choice_consumes_and_does_nothing(byz_cfg, bare):
-    byz = ReplicaState("T")
-    consumed: set[int] = set()
     order = SpecOrder(InstanceId("R", 0), bare, 0, "c1")
-    outputs, _ = apply_byzantine(
-        byz, byz_cfg, [("R", order)], consumed, ByzantineChoice(BYZ_SILENT, item=0)
-    )
-    assert outputs == [] and consumed == {0} and byz.log == {}
+    byz = ReplicaState("T", inbox=(("R", order),))
+    outputs, _ = apply_byzantine(byz, byz_cfg, ByzantineChoice(BYZ_SILENT, item=0))
+    assert outputs == [] and byz.consumed == {0} and byz.log == {}
 
 
 def test_equivocate_spec_reply_sends_one_reply_per_branch(byz_cfg, bare, ext):
-    byz = ReplicaState("T")
-    consumed: set[int] = set()
-    inbox = [("R", SpecOrder(InstanceId("R", 0), bare, 0, "c1"))]
+    inbox = (("R", SpecOrder(InstanceId("R", 0), bare, 0, "c1")),)
+    byz = ReplicaState("T", inbox=inbox)
     choice = ByzantineChoice(BYZ_EQUIVOCATE_SPEC_REPLY, item=0, branches=(bare, ext))
 
-    outputs, _ = apply_byzantine(byz, byz_cfg, inbox, consumed, choice)
-    assert consumed == {0}
+    outputs, _ = apply_byzantine(byz, byz_cfg, choice)
+    assert byz.consumed == {0}
     assert [r for r, _ in outputs] == ["c1", "c1"]
     sent = [m for _, m in outputs]
     assert all(m.sender == "T" and m.instance == InstanceId("R", 0) for m in sent)
     assert tuples_equal(sent[0].tuple, bare) and tuples_equal(sent[1].tuple, ext)
 
     with pytest.raises(BadChoice):
-        apply_byzantine(byz, byz_cfg, inbox, consumed, choice)  # already consumed
+        apply_byzantine(byz, byz_cfg, choice)  # already consumed
+    fresh = ReplicaState("T", inbox=inbox)
     with pytest.raises(BadChoice):
-        apply_byzantine(byz, byz_cfg, inbox, set(), ByzantineChoice(BYZ_EQUIVOCATE_SPEC_REPLY, item=5, branches=(bare, ext)))
+        apply_byzantine(fresh, byz_cfg, ByzantineChoice(BYZ_EQUIVOCATE_SPEC_REPLY, item=5, branches=(bare, ext)))
     with pytest.raises(BadChoice):
-        apply_byzantine(byz, byz_cfg, inbox, set(), ByzantineChoice(BYZ_EQUIVOCATE_SPEC_REPLY, item=0, branches=(bare,)))
+        apply_byzantine(fresh, byz_cfg, ByzantineChoice(BYZ_EQUIVOCATE_SPEC_REPLY, item=0, branches=(bare,)))
 
 
 def test_arbitrary_vote_fabricates_only_its_own_reply(byz_cfg, ext):
     byz = ReplicaState("T")
     choice = ByzantineChoice(BYZ_ARBITRARY_VOTE, instance=InstanceId("R", 0), branches=(ext,))
-    outputs, _ = apply_byzantine(byz, byz_cfg, [], set(), choice)
+    outputs, _ = apply_byzantine(byz, byz_cfg, choice)
 
     [(recipient, vote)] = outputs
     assert recipient == "L"  # leader at the next owner number
@@ -111,7 +105,7 @@ def test_arbitrary_vote_fabricates_only_its_own_reply(byz_cfg, ext):
 def test_equivocate_spec_order_partitions_peers(byz_cfg, cmd_a, bare, ext):
     byz = ReplicaState("T")
     choice = ByzantineChoice(BYZ_EQUIVOCATE_SPEC_ORDER, branches=(bare, ext))
-    outputs, _ = apply_byzantine(byz, byz_cfg, [], set(), choice)
+    outputs, _ = apply_byzantine(byz, byz_cfg, choice)
 
     inst = InstanceId("T", 0)
     assert byz.next_slot == 1
@@ -126,7 +120,7 @@ def test_equivocate_spec_order_partitions_peers(byz_cfg, cmd_a, bare, ext):
 
 def test_byzantine_actions_only_at_byzantine_replicas(cfg, bare):
     with pytest.raises(BadChoice):
-        apply_byzantine(ReplicaState("R"), cfg, [], set(), ByzantineChoice(BYZ_SILENT, item=0))
+        apply_byzantine(ReplicaState("R"), cfg, ByzantineChoice(BYZ_SILENT, item=0))
 
 
 def _received_client(cfg, inst, tuples_by_sender):

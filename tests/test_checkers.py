@@ -321,21 +321,60 @@ def test_verify_report_confirms_scenario_reports_and_rejects_tampering():
     assert not verify_report(tampered, obs)
 
 
-def test_verify_report_confirms_every_golden_report(tmp_path):
+def _golden_reports(tmp_path):
+    """(scenario, report, observations of its golden trace) for every
+    golden report."""
+    out = []
     for name in SCENARIO_NAMES:
         path = tmp_path / f"{name}.trace.jsonl"
         path.write_text(golden_text(name, "trace"), encoding="utf-8")
         obs = Observations.from_trace(Trace.read(str(path)))
         reports = json.loads(golden_text(name, "reports"))["reports"]
         assert reports
-        for data in reports:
-            assert verify_report(ViolationReport.from_json(data), obs), (name, data["property"])
+        out += [(name, ViolationReport.from_json(data), obs) for data in reports]
+    return out
+
+
+def test_verify_report_confirms_every_golden_report(tmp_path):
+    for name, report, obs in _golden_reports(tmp_path):
+        assert verify_report(report, obs), (name, report.property)
+
+
+def _span(witnesses):
+    seq_nos = sorted(w["seq_no"] for w in witnesses if "seq_no" in w)
+    return (seq_nos[0], seq_nos[-1]) if seq_nos else None
 
 
 def _with_witness(report, index, **changes):
+    """The report with one witness changed and its trace slice still the
+    span of its witnesses, so that only the witness itself can fail."""
     witnesses = list(report.witnesses)
     witnesses[index] = {**witnesses[index], **changes}
-    return ViolationReport(report.property, tuple(witnesses), report.trace_slice, report.details)
+    return ViolationReport(report.property, tuple(witnesses), _span(witnesses), report.details)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("seq_no", 999), ("seq_no", 0), ("owner_number", 7), ("via", "fast")]
+)
+def test_verify_report_checks_every_commit_field_a_witness_names(tmp_path, field, value):
+    checked = 0
+    for name, report, obs in _golden_reports(tmp_path):
+        for index, w in enumerate(report.witnesses):
+            if "tuple" not in w or w.get(field, value) == value:
+                continue
+            tampered = _with_witness(report, index, **{field: value})
+            assert not verify_report(tampered, obs), (name, report.property, index)
+            checked += 1
+    assert checked >= 3
+
+
+def test_verify_report_rejects_a_trace_slice_that_is_not_the_witness_span(tmp_path):
+    for name, report, obs in _golden_reports(tmp_path):
+        assert report.trace_slice == _span(report.witnesses)
+        for trace_slice in ((0, 0), None, (report.trace_slice or (0, 0))[::-1]):
+            if trace_slice != report.trace_slice:
+                moved = dataclasses.replace(report, trace_slice=trace_slice)
+                assert not verify_report(moved, obs), (name, report.property, trace_slice)
 
 
 def test_verify_report_checks_pair_witnesses(cfg, cmd_a, cmd_b):
@@ -351,9 +390,10 @@ def test_verify_report_checks_pair_witnesses(cfg, cmd_a, cmd_b):
         assert not verify_report(_with_witness(report, 0, replica="L"), uncovered)
         # A witness whose command is not the committed tuple's.
         assert not verify_report(_with_witness(report, 1, command="a"), uncovered)
-        # An odd witness count is no list of pairs.
+        # An odd witness count is no list of pairs. (Here and below, (0, 0)
+        # is the span of the witnesses' seq numbers.)
         assert not verify_report(
-            ViolationReport(report.property, report.witnesses[:1], None, ""), uncovered
+            ViolationReport(report.property, report.witnesses[:1], (0, 0), ""), uncovered
         )
         # Every witness is a real commit, but another commit of b cites R.0.
         covered = _obs(cfg, workload, uncovered.commits + [_commit("L", "Q.0", cmd_b, ["R.0"], 2)])
@@ -369,7 +409,7 @@ def test_verify_report_checks_pair_witnesses(cfg, cmd_a, cmd_b):
         | {"command": c["tuple"]["command"]["id"]}
         for c in apart.commits
     )
-    forged = ViolationReport("dependency_inclusion", non_interfering, None, "")
+    forged = ViolationReport("dependency_inclusion", non_interfering, (0, 0), "")
     assert not verify_report(forged, apart)
 
 
@@ -390,6 +430,8 @@ def test_verify_report_checks_divergence_witnesses(cfg, cmd_a, cmd_b):
     assert not verify_report(_with_witness(report, 0, order="a<b"), agreeing)
     # A pair that never committed.
     assert not verify_report(_with_witness(report, 1, pair=["a", "z"]), obs)
+    # Divergence witnesses cite no seq number, so there is no trace slice.
+    assert not verify_report(dataclasses.replace(report, trace_slice=(0, 0)), obs)
 
 
 def test_verify_report_checks_validity_witnesses(byz_cfg, cmd_a):

@@ -161,6 +161,48 @@ def test_search_outcome_does_not_depend_on_the_hash_seed():
     ]
 
 
+# Fixed searches (BENCH_5.json): config, second target, max_events,
+# properties (None for all), then states visited, deduped and terminals
+# checked, transitions computed and reused, found properties, exhausted.
+FIXED_SEARCHES = {
+    "honest-Q-5": (
+        CORRECT, "Q", 5, ("agreement", "validity", "liveness"),
+        (837, 1086, 606, 2010, 20922, (), True),
+    ),
+    "honest-T-5-all": (
+        CORRECT, "T", 5, None,
+        (837, 1086, 606, 2039, 20893, ("dependency_inclusion", "execution_consistency"), True),
+    ),
+    "crit6-byz": (
+        BYZ, "T", 14, ("agreement", "liveness"),
+        (15, 0, 1, 13, 36, ("agreement", "liveness"), False),
+    ),
+    "honest-Q-7-exec": (
+        CORRECT, "Q", 7, ("execution_consistency",),
+        (362, 324, 302, 426, 12680, ("execution_consistency",), False),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_SEARCHES))
+def test_fixed_search_counters_and_findings(name):
+    """A refactor that keeps behaviour keeps every counter of these searches,
+    the transition memo's included."""
+    config, target, max_events, properties, expected = FIXED_SEARCHES[name]
+    result = explore(
+        config, ExploreBounds(workload=two_commands(target), max_events=max_events), properties
+    )
+    assert (
+        result.states_visited,
+        result.states_deduped,
+        result.terminals_checked,
+        result.transitions_computed,
+        result.transitions_reused,
+        result.found_properties(),
+        result.exhausted,
+    ) == expected
+
+
 def test_explore_early_stop_reports_not_exhausted():
     bounds = ExploreBounds(workload=two_commands("T"), max_events=14)
     result = explore(BYZ, bounds, properties=["agreement"])
@@ -185,20 +227,23 @@ def test_explore_result_json_shape():
 def test_minimize_scripted_divergence_is_no_longer_than_hand_built():
     scenario = build_scenario("safety")
     agreement = [r for r in scenario.reports if r.property == "agreement"][0]
-    minimized = minimize(scenario.schedule, agreement)
+    minimized, final = minimize(scenario.schedule, agreement)
 
     assert len(minimized.events) <= len(scenario.schedule.events)
     replayed = _replay_reports(minimized, ["agreement"])
     # Event indices shift when padding drops out; the verdict must not.
     assert [(r.property, r.details) for r in replayed] == [(agreement.property, agreement.details)]
+    # The returned report is the one the minimized schedule replays to.
+    assert replayed == [final]
 
 
 def test_minimize_is_a_fixed_point():
     scenario = build_scenario("safety")
     agreement = [r for r in scenario.reports if r.property == "agreement"][0]
-    once = minimize(scenario.schedule, agreement)
-    twice = minimize(once, agreement)
+    once, once_report = minimize(scenario.schedule, agreement)
+    twice, twice_report = minimize(once, agreement)
     assert twice.to_json() == once.to_json()
+    assert twice_report == once_report
 
 
 def test_minimize_strips_padding():
@@ -214,10 +259,11 @@ def test_minimize_strips_padding():
         sched.tail_start,
         sched.seq_mode,
     )
-    minimized = minimize(padded, report)
+    minimized, final = minimize(padded, report)
     assert len(minimized.events) < len(padded.events)
     replayed = _replay_reports(minimized, ["dependency_inclusion"])
     assert [(r.property, r.details) for r in replayed] == [(report.property, report.details)]
+    assert replayed == [final]
 
 
 def test_minimize_rejects_schedules_that_do_not_reproduce_the_report():

@@ -8,12 +8,12 @@ time, and records every event. The tail runs three times from one state:
 through an untraced ``drain``, through a traced ``drain`` and through the
 reference drain; ``extend_with_tail`` applies the owner-change triggers
 through ``Sim.apply`` in all three. All three must choose the same events
-and end in the same node states, inboxes, consumed sets, counters, seq
-number, logs, an empty pending pool and the same checker reports, and the
-traced ``drain`` must build exactly the reference's trace records. The
-comparison runs on every terminal of small searches and after every step
-of seeded walks, with and without a transition memo, over four fault
-configs.
+and end in the same node states (byzantine inboxes and consumed sets
+included), counters, seq number, logs, an empty pending pool and the
+same checker reports, and the traced ``drain`` must build exactly the
+reference's trace records. The comparison runs on every terminal of small
+searches and after every step of seeded walks, with and without a
+transition memo, over four fault configs.
 
 With a shared memo all three must also end on the very same canonical
 node objects, unless the memo started over between their tails: its
@@ -83,8 +83,6 @@ def _outcome(sim, events):
         "events": events,
         "replicas": {node: state.value() for node, state in sim.replicas.items()},
         "clients": {node: state.value() for node, state in sim.clients.items()},
-        "inboxes": sim.inboxes,
-        "consumed": sim.consumed,
         "counters": sim.counters,
         "seq_no": sim.seq_no,
         "tail_start": sim.tail_start,

@@ -2,7 +2,13 @@
 
 import pytest
 
-from ezbft_lab.adversary import BYZ_HONEST, ByzantineChoice, FaultyClientChoice, FAULTY_HONEST
+from ezbft_lab.adversary import (
+    BYZ_HONEST,
+    BYZ_SILENT,
+    FAULTY_HONEST,
+    ByzantineChoice,
+    FaultyClientChoice,
+)
 from ezbft_lab.core import Command, Config, InstanceId, canonical_json
 from ezbft_lab.explorer import _state_key
 from ezbft_lab.scenarios import build_scenario
@@ -114,10 +120,10 @@ def test_byzantine_deliveries_queue_in_the_inbox(byz_cfg, cmd_a):
     sim = Sim(byz_cfg, _workload(("c1", cmd_a, "T")))
     sim.apply(Event(DELIVER, message="c1#0"))
     assert sim.pending() == []  # nothing emitted until the adversary acts
-    assert len(sim.inboxes["T"]) == 1 and not sim.consumed["T"]
+    assert len(sim.replicas["T"].inbox) == 1 and not sim.replicas["T"].consumed
 
     sim.apply(Event(ADVERSARY, node="T", choice=ByzantineChoice(BYZ_HONEST, item=0)))
-    assert sim.consumed["T"] == {0}
+    assert sim.replicas["T"].consumed == {0}
     assert [e.recipient for e in sim.pending()] == ["R", "L", "Q", "c1"]
 
 
@@ -153,6 +159,41 @@ def test_client_state_digest_ignores_reply_arrival_order(cfg, cmd_a):
     assert _state_key(forward, frozenset()) == _state_key(backward, frozenset())
     # The trace-facing view keeps arrival order.
     assert forward.clients["c1"].received != backward.clients["c1"].received
+
+
+def test_byzantine_inbox_key_ignores_arrival_order(byz_cfg, cmd_a, cmd_b):
+    def run_with(order):
+        sim = Sim(byz_cfg, _workload(("c1", cmd_a, "T"), ("c2", cmd_b, "T")))
+        for msg in order:
+            sim.apply(Event(DELIVER, message=msg))
+        return sim
+
+    forward = run_with(["c1#0", "c2#0"])
+    backward = run_with(["c2#0", "c1#0"])
+    assert _state_key(forward, frozenset()) == _state_key(backward, frozenset())
+    # The state keeps arrival order.
+    ahead, behind = forward.replicas["T"].inbox, backward.replicas["T"].inbox
+    assert ahead != behind and ahead == behind[::-1]
+
+    def silent(sim, item):
+        child = sim.clone()
+        child.apply(Event(ADVERSARY, node="T", choice=ByzantineChoice(BYZ_SILENT, item=item)))
+        return child
+
+    def key(sim):
+        return _state_key(sim, frozenset())
+
+    # The consumed flag travels with its item, wherever the item arrived.
+    assert key(silent(forward, 0)) == key(silent(backward, 1))
+    assert key(silent(forward, 0)) != key(silent(backward, 0))
+
+    # A clone that consumes an item leaves its parent's inbox and consumed
+    # set alone.
+    parent = forward.replicas["T"]
+    child = silent(forward, 1)
+    assert child.replicas["T"].consumed == {1}
+    assert forward.replicas["T"] is parent
+    assert parent.inbox == ahead and parent.consumed == frozenset()
 
 
 def test_empty_schedule_runs_to_an_empty_trace(cfg):

@@ -43,34 +43,21 @@ def _uncached_view(sim, acted):
     return _view(twin, acted)
 
 
-def _snapshot(obj):
-    if isinstance(obj, list):
-        return tuple(obj)
-    if isinstance(obj, set):
-        return frozenset(obj)
-    return obj.value()
-
-
 class _Installed:
-    """Every node state, byzantine inbox and consumed set a Sim held before
-    or after an event, with its value when first seen. Holding each object
-    keeps its id from being reused."""
+    """Every node state a Sim held before or after an event, with its value
+    (a byzantine replica's inbox and consumed set included) when first
+    seen. Holding each object keeps its id from being reused."""
 
     def __init__(self):
         self.seen = {}
 
     def record(self, sim):
-        for obj in (
-            *sim.replicas.values(),
-            *sim.clients.values(),
-            *sim.inboxes.values(),
-            *sim.consumed.values(),
-        ):
+        for obj in (*sim.replicas.values(), *sim.clients.values()):
             if id(obj) not in self.seen:
-                self.seen[id(obj)] = (obj, _snapshot(obj))
+                self.seen[id(obj)] = (obj, obj.value())
 
     def assert_unchanged(self):
-        changed = [obj for obj, snap in self.seen.values() if _snapshot(obj) != snap]
+        changed = [obj for obj, snap in self.seen.values() if obj.value() != snap]
         assert not changed, f"{len(changed)} of {len(self.seen)} installed objects changed"
 
 

@@ -251,15 +251,14 @@ def _reference_projection(sim):
         data = state.to_json()
         if node in sim.clients:
             data["received"] = sorted(canonical_json(r) for r in data["received"])
-        elif node in sim.inboxes:
-            consumed = sim.consumed[node]
+        elif node in sim.cfg.byzantine_ids:
             data = {
                 "state": data,
                 "inbox": sorted(
                     canonical_json(
-                        {"from": s, "payload": payload_to_json(p), "consumed": i in consumed}
+                        {"from": s, "payload": payload_to_json(p), "consumed": i in state.consumed}
                     )
-                    for i, (s, p) in enumerate(sim.inboxes[node])
+                    for i, (s, p) in enumerate(state.inbox)
                 ),
             }
         parts.append(canonical_json(data))

@@ -11,10 +11,11 @@ pending message delivered, owner change given its chance to finish).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Collection, Iterable, Mapping
 
 from .core import Command, Config, interferes
-from .simnet import Sim, Trace, WorkItem
+from .owner_change import CONFLICT
+from .simnet import DELIVER, Sim, Trace, WorkItem
 
 AGREEMENT = "agreement"
 VALIDITY = "validity"
@@ -110,7 +111,7 @@ class Observations:
             for env in record.get("emitted") or []:
                 emitted.add(env["id"])
             event = record.get("event") or {}
-            if event.get("kind") == "deliver":
+            if event.get("kind") == DELIVER:
                 delivered.add(event["message"])
             for eff in record.get("effects") or []:
                 if eff.get("type") == "commit":
@@ -147,6 +148,29 @@ def _slice(seq_nos: Iterable[int]) -> tuple[int, int] | None:
     return (nums[0], nums[-1]) if nums else None
 
 
+# The commit fields each kind of witness cites, in the order it writes them.
+# A pair witness names its command first.
+_AGREEMENT_FIELDS = ("replica", "instance", "tuple", "via", "owner_number", "seq_no")
+_VALIDITY_FIELDS = ("replica", "instance", "tuple", "seq_no")
+_PAIR_FIELDS = ("replica", "instance", "tuple", "seq_no")
+# The selection fields a liveness conflict witness cites.
+_CONFLICT_FIELDS = ("leader", "instance", "owner_number", "tuple", "second")
+
+
+def _cite(record: Mapping[str, Any], fields: tuple[str, ...]) -> dict[str, Any]:
+    return {k: record[k] for k in fields}
+
+
+def _pair_witness(commit: Mapping[str, Any]) -> dict[str, Any]:
+    return {"command": commit["tuple"]["command"]["id"], **_cite(commit, _PAIR_FIELDS)}
+
+
+def _diverged(entries: Collection[tuple[str, Any]]) -> bool:
+    """Whether ``(replica, value)`` entries hold two values and two
+    replicas: one instance's commits, or one pair's execution orders."""
+    return len({v for _r, v in entries}) >= 2 and len({r for r, _v in entries}) >= 2
+
+
 def check_agreement(obs: Observations) -> ViolationReport | None:
     """Two correct replicas must never commit non-equal tuples at one
     instance. Every commit counts, including re-commits at higher owner
@@ -159,32 +183,15 @@ def check_agreement(obs: Observations) -> ViolationReport | None:
     parts: list[str] = []
     for instance in sorted(by_instance):
         entries = by_instance[instance]
-        keys = {k[1] for k in entries}
-        replicas_by_key = {
-            key: sorted({r for (r, k) in entries if k == key}) for key in keys
-        }
-        diverged = len(keys) >= 2 and len({r for (r, _k) in entries}) >= 2
-        if not diverged:
+        if not _diverged(entries):
             continue
-        group: list[dict[str, Any]] = sorted(
-            (
-                {
-                    "replica": c["replica"],
-                    "instance": c["instance"],
-                    "tuple": c["tuple"],
-                    "via": c["via"],
-                    "owner_number": c["owner_number"],
-                    "seq_no": c["seq_no"],
-                }
-                for c in entries.values()
-            ),
-            key=lambda w: (w["replica"], _tuple_key(w["tuple"])),
-        )
-        witnesses += group
+        witnesses += (_cite(entries[k], _AGREEMENT_FIELDS) for k in sorted(entries))
+        shown: dict[tuple, tuple[dict[str, Any], set[str]]] = {}
+        for (replica, key), c in entries.items():
+            shown.setdefault(key, (c["tuple"], set()))[1].add(replica)
         rendered = "; ".join(
-            f"{fmt_tuple(next(c['tuple'] for c in entries.values() if _tuple_key(c['tuple']) == key))}"
-            f" by {','.join(replicas_by_key[key])}"
-            for key in sorted(keys)
+            f"{fmt_tuple(shown[key][0])} by {','.join(sorted(shown[key][1]))}"
+            for key in sorted(shown)
         )
         parts.append(f"instance {instance} committed as {rendered}")
     if not witnesses:
@@ -197,32 +204,24 @@ def check_agreement(obs: Observations) -> ViolationReport | None:
     )
 
 
+def _unproposed(obs: Observations) -> list[dict[str, Any]]:
+    """Correct replicas' commits of commands no client proposed."""
+    proposed = {w.command.id for w in obs.workload}
+    return [c for c in obs.correct_commits() if c["tuple"]["command"]["id"] not in proposed]
+
+
 def check_validity(obs: Observations) -> ViolationReport | None:
     """Correct replicas must only commit commands some client proposed."""
-    proposed = {w.command.id for w in obs.workload}
-    offending = [
-        c for c in obs.correct_commits() if c["tuple"]["command"]["id"] not in proposed
-    ]
-    if not offending:
-        return None
-    witnesses = tuple(
-        sorted(
-            (
-                {
-                    "replica": c["replica"],
-                    "instance": c["instance"],
-                    "tuple": c["tuple"],
-                    "seq_no": c["seq_no"],
-                }
-                for c in offending
-            ),
-            key=lambda w: (w["instance"], w["replica"]),
-        )
+    witnesses = sorted(
+        (_cite(c, _VALIDITY_FIELDS) for c in _unproposed(obs)),
+        key=lambda w: (w["instance"], w["replica"]),
     )
+    if not witnesses:
+        return None
     names = sorted({w["tuple"]["command"]["id"] for w in witnesses})
     return ViolationReport(
         VALIDITY,
-        witnesses,
+        tuple(witnesses),
         _slice(w["seq_no"] for w in witnesses),
         f"unproposed commands committed: {', '.join(names)}",
     )
@@ -250,44 +249,38 @@ def _committed_commands(obs: Observations) -> dict[str, dict[str, Any]]:
     return out
 
 
-def _uncovered_pairs(obs: Observations) -> list[tuple[dict[str, Any], dict[str, Any]]]:
-    """Committed interfering pairs where neither command's committed deps
-    reference any instance the other committed at."""
-    committed = _committed_commands(obs)
-    pairs: list[tuple[dict[str, Any], dict[str, Any]]] = []
+def _interfering(committed: Mapping[str, Mapping[str, Any]]) -> list[tuple[str, str]]:
+    """The pairs ``(a, b)``, ``a < b``, of committed command ids whose
+    commands interfere."""
     ids = sorted(committed)
-    for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            ea, eb = committed[a], committed[b]
-            if not interferes(ea["command"], eb["command"]):
-                continue
-            if ea["deps"] & eb["instances"] or eb["deps"] & ea["instances"]:
-                continue
-            pairs.append((ea, eb))
-    return pairs
+    return [
+        (a, b)
+        for i, a in enumerate(ids)
+        for b in ids[i + 1 :]
+        if interferes(committed[a]["command"], committed[b]["command"])
+    ]
 
 
-def _pair_witnesses(pairs: list[tuple[dict[str, Any], dict[str, Any]]]) -> tuple[dict[str, Any], ...]:
-    witnesses = []
-    for ea, eb in pairs:
-        for e in (ea, eb):
-            first = e["first"]
-            witnesses.append(
-                {
-                    "command": e["command"].id,
-                    "replica": first["replica"],
-                    "instance": first["instance"],
-                    "tuple": first["tuple"],
-                    "seq_no": first["seq_no"],
-                }
-            )
-    return tuple(witnesses)
+def _uncovered(ea: Mapping[str, Any], eb: Mapping[str, Any]) -> bool:
+    """Neither command's committed deps reference an instance the other
+    committed at."""
+    return not (ea["deps"] & eb["instances"] or eb["deps"] & ea["instances"])
+
+
+def _uncovered_pairs(committed: Mapping[str, Mapping[str, Any]]) -> list[tuple[Any, Any]]:
+    """The committed interfering pairs of entries that are uncovered."""
+    pairs = ((committed[a], committed[b]) for a, b in _interfering(committed))
+    return [(ea, eb) for ea, eb in pairs if _uncovered(ea, eb)]
+
+
+def _pair_witnesses(pairs: list[tuple[Any, Any]]) -> tuple[dict[str, Any], ...]:
+    return tuple(_pair_witness(e["first"]) for pair in pairs for e in pair)
 
 
 def check_dependency_inclusion(obs: Observations) -> ViolationReport | None:
     """Committed interfering commands must reference each other: at least
     one of the pair carries the other's instance in its dependencies."""
-    pairs = _uncovered_pairs(obs)
+    pairs = _uncovered_pairs(_committed_commands(obs))
     if not pairs:
         return None
     witnesses = _pair_witnesses(pairs)
@@ -304,6 +297,18 @@ def check_dependency_inclusion(obs: Observations) -> ViolationReport | None:
     )
 
 
+def _orders(obs: Observations, a: str, b: str) -> list[dict[str, Any]]:
+    """Divergence witnesses of the pair ``(a, b)``: the order each correct
+    replica that executed both finally ran them in, by replica."""
+    witnesses = []
+    for replica in sorted(obs.config.correct_replicas()):
+        seq = obs.final_executed.get(replica, [])
+        if a in seq and b in seq:
+            order = f"{a}<{b}" if seq.index(a) < seq.index(b) else f"{b}<{a}"
+            witnesses.append({"pair": [a, b], "replica": replica, "order": order})
+    return witnesses
+
+
 def check_execution_consistency(obs: Observations) -> ViolationReport | None:
     """Correct replicas must execute committed interfering commands in one
     order. Reports actual order divergence, and also the state where both
@@ -311,33 +316,21 @@ def check_execution_consistency(obs: Observations) -> ViolationReport | None:
     their order then, which is the violation even if tie-breaks happen to
     align."""
     committed = _committed_commands(obs)
-    ids = sorted(committed)
-    divergences: list[dict[str, Any]] = []
-    for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            if not interferes(committed[a]["command"], committed[b]["command"]):
-                continue
-            orders: dict[str, str] = {}
-            for replica in obs.config.correct_replicas():
-                seq = obs.final_executed.get(replica, [])
-                if a in seq and b in seq:
-                    orders[replica] = f"{a}<{b}" if seq.index(a) < seq.index(b) else f"{b}<{a}"
-            if len(set(orders.values())) > 1:
-                divergences.append({"pair": [a, b], "orders": orders})
+    divergences = []
+    for a, b in _interfering(committed):
+        orders = _orders(obs, a, b)
+        if _diverged([(w["replica"], w["order"]) for w in orders]):
+            divergences.append((a, b, orders))
     if divergences:
-        witnesses = tuple(
-            {"pair": d["pair"], "replica": r, "order": o}
-            for d in divergences
-            for r, o in sorted(d["orders"].items())
-        )
+        witnesses = tuple(w for _a, _b, orders in divergences for w in orders)
         details = "; ".join(
-            f"({d['pair'][0]},{d['pair'][1]}) executed in diverging orders: "
-            + ", ".join(f"{r} ran {o}" for r, o in sorted(d["orders"].items()))
-            for d in divergences
+            f"({a},{b}) executed in diverging orders: "
+            + ", ".join(f"{w['replica']} ran {w['order']}" for w in orders)
+            for a, b, orders in divergences
         )
         return ViolationReport(EXECUTION_CONSISTENCY, witnesses, None, details)
 
-    pairs = _uncovered_pairs(obs)
+    pairs = _uncovered_pairs(committed)
     if not pairs:
         return None
     witnesses = _pair_witnesses(pairs)
@@ -354,8 +347,35 @@ def check_execution_consistency(obs: Observations) -> ViolationReport | None:
     )
 
 
-# The selection fields a liveness conflict witness cites.
-_CONFLICT_FIELDS = ("leader", "instance", "owner_number", "tuple", "second")
+def _tail_unmet(obs: Observations) -> str | None:
+    """Why liveness cannot be judged on these observations, or None."""
+    if obs.tail_start is None:
+        return "liveness needs a schedule with a synchronous tail"
+    if obs.pending_count:
+        return f"liveness needs every message delivered; {obs.pending_count} still pending"
+    return None
+
+
+def _stuck(obs: Observations) -> list[dict[str, Any]]:
+    """Stuck witnesses: each correct client's workload command that no
+    correct replica committed."""
+    committed_ids = {c["tuple"]["command"]["id"] for c in obs.correct_commits()}
+    return [
+        {"stuck_command": w.command.id, "client": w.client}
+        for w in obs.workload
+        if w.client not in obs.config.faulty_client_ids and w.command.id not in committed_ids
+    ]
+
+
+def _tail_conflicts(obs: Observations) -> list[dict[str, Any]]:
+    """Conflict witnesses: each certified-conflict selection a correct
+    leader made during the tail, with its seq number."""
+    byz = obs.config.byzantine_ids
+    return [
+        {"conflict": _cite(s, _CONFLICT_FIELDS), "seq_no": s["seq_no"]}
+        for s in obs.selections
+        if s["outcome"] == CONFLICT and s["seq_no"] >= obs.tail_start and s["leader"] not in byz
+    ]
 
 
 def check_liveness(obs: Observations) -> ViolationReport | None:
@@ -365,45 +385,21 @@ def check_liveness(obs: Observations) -> ViolationReport | None:
     Reports when some correct client's command is committed at no correct
     replica and an owner-change selection hit the certified-conflict dead
     end during the tail."""
-    if obs.tail_start is None:
-        raise PreconditionUnmet("liveness needs a schedule with a synchronous tail")
-    if obs.pending_count:
-        raise PreconditionUnmet(
-            f"liveness needs every message delivered; {obs.pending_count} still pending"
-        )
-    committed_ids = {c["tuple"]["command"]["id"] for c in obs.correct_commits()}
-    stuck = [
-        w
-        for w in obs.workload
-        if w.client not in obs.config.faulty_client_ids
-        and w.command.id not in committed_ids
-    ]
-    byz = obs.config.byzantine_ids
-    conflicts = [
-        s
-        for s in obs.selections
-        if s["outcome"] == "conflict"
-        and s["seq_no"] >= obs.tail_start
-        and s["leader"] not in byz
-    ]
+    unmet = _tail_unmet(obs)
+    if unmet:
+        raise PreconditionUnmet(unmet)
+    stuck, conflicts = _stuck(obs), _tail_conflicts(obs)
     if not stuck or not conflicts:
         return None
-    witnesses = tuple(
-        [{"stuck_command": w.command.id, "client": w.client} for w in stuck]
-        + [
-            {"conflict": {k: s[k] for k in _CONFLICT_FIELDS}, "seq_no": s["seq_no"]}
-            for s in conflicts
-        ]
-    )
-    stuck_names = ", ".join(f"{w.command.id} from {w.client}" for w in stuck)
-    first = conflicts[0]
+    stuck_names = ", ".join(f"{w['stuck_command']} from {w['client']}" for w in stuck)
+    first = conflicts[0]["conflict"]
     details = (
         f"commands never committed: {stuck_names}; owner change for {first['instance']} "
         f"at number {first['owner_number']} found conflicting certified tuples "
         f"{fmt_tuple(first['tuple'])} vs {fmt_tuple(first['second'])} and no rule resolves them"
     )
     return ViolationReport(
-        LIVENESS, witnesses, _slice(s["seq_no"] for s in conflicts), details
+        LIVENESS, tuple(stuck + conflicts), _slice(w["seq_no"] for w in conflicts), details
     )
 
 
@@ -441,117 +437,59 @@ def run_checkers(
     return reports, notes
 
 
-# The commit fields a witness may cite.
-_COMMIT_FIELDS = ("replica", "instance", "tuple", "owner_number", "via", "seq_no")
-
-
 def verify_report(report: ViolationReport, obs: Observations) -> bool:
     """Re-confirm a report from its witnesses against independent
-    observations. Used to validate minimized schedules and golden files.
+    observations, such as those of a traced replay. Returns False, and
+    never raises, for a report that does not hold, whatever its shape.
 
-    Every property shares one rule: a witness that cites a tuple must equal
-    a correct replica's observed commit on every commit field it names,
-    and the trace slice must span exactly the witnesses' seq numbers (None
-    when no witness has one)."""
-    cited = _slice(w["seq_no"] for w in report.witnesses if "seq_no" in w)
-    if report.trace_slice != cited:
+    A report holds when three things do. Every witness equals a witness
+    the property's checker writes from these observations, field for
+    field, so a missing, extra or changed field fails. Together the
+    witnesses show the violation by the checker's own rule. The trace
+    slice spans exactly the witnesses' seq numbers (None when none has
+    one)."""
+    prop, witnesses = report.property, list(report.witnesses)
+    paired = prop in (DEPENDENCY_INCLUSION, EXECUTION_CONSISTENCY)
+    committed = _committed_commands(obs) if paired else {}
+    if prop == AGREEMENT:
+        supported = [_cite(c, _AGREEMENT_FIELDS) for c in obs.correct_commits()]
+    elif prop == VALIDITY:
+        supported = [_cite(c, _VALIDITY_FIELDS) for c in _unproposed(obs)]
+    elif paired:
+        supported = [_pair_witness(c) for c in obs.correct_commits()]
+        if prop == EXECUTION_CONSISTENCY:
+            supported += [w for a, b in _interfering(committed) for w in _orders(obs, a, b)]
+    elif prop == LIVENESS and not _tail_unmet(obs):
+        supported = _stuck(obs) + _tail_conflicts(obs)
+    else:
         return False
-    commits = obs.correct_commits()
-    for w in report.witnesses:
-        if "tuple" in w and not any(
-            all(c[k] == w[k] for k in _COMMIT_FIELDS if k in w) for c in commits
-        ):
-            return False
-    if report.property == AGREEMENT:
+    if not witnesses or any(w not in supported for w in witnesses):
+        return False
+
+    if prop == AGREEMENT:
         by_instance: dict[str, set[tuple]] = {}
-        pairs_ok = False
-        for w in report.witnesses:
+        for w in witnesses:
             by_instance.setdefault(w["instance"], set()).add(
                 (w["replica"], _tuple_key(w["tuple"]))
             )
-        for entries in by_instance.values():
-            keys = {k for _r, k in entries}
-            replicas = {r for r, _k in entries}
-            if len(keys) >= 2 and len(replicas) >= 2:
-                pairs_ok = True
-        return pairs_ok
-    if report.property == VALIDITY:
-        proposed = {w.command.id for w in obs.workload}
-        return bool(report.witnesses) and all(
-            w["tuple"]["command"]["id"] not in proposed for w in report.witnesses
+        shown = any(map(_diverged, by_instance.values()))
+    elif prop == LIVENESS:
+        shown = any("stuck_command" in w for w in witnesses) and any(
+            "conflict" in w for w in witnesses
         )
-    if report.property == EXECUTION_CONSISTENCY and all("pair" in w for w in report.witnesses):
-        return _verify_divergence(report.witnesses, obs)
-    if report.property in (DEPENDENCY_INCLUSION, EXECUTION_CONSISTENCY):
-        return _verify_uncovered_pairs(report.witnesses, obs)
-    if report.property == LIVENESS:
-        return _verify_liveness(report.witnesses, obs)
-    return False
-
-
-def _verify_uncovered_pairs(witnesses: tuple[dict[str, Any], ...], obs: Observations) -> bool:
-    """Pair witnesses, two per pair, each a correct replica's commit (checked
-    by ``verify_report``): each must name its tuple's command, the two
-    commands must interfere, and neither command's committed deps may
-    reference an instance the other committed at."""
-    if not witnesses or len(witnesses) % 2:
-        return False
-    committed = _committed_commands(obs)
-    for pair in zip(witnesses[::2], witnesses[1::2]):
-        for w in pair:
-            if w["command"] != w["tuple"]["command"]["id"]:
-                return False
-        ea, eb = (committed[w["tuple"]["command"]["id"]] for w in pair)
-        if not interferes(ea["command"], eb["command"]):
-            return False
-        if ea["deps"] & eb["instances"] or eb["deps"] & ea["instances"]:
-            return False
-    return True
-
-
-def _verify_liveness(witnesses: tuple[dict[str, Any], ...], obs: Observations) -> bool:
-    """Liveness witnesses, on a run with a tail and nothing pending: at
-    least one stuck command, a correct client's workload command that no
-    correct replica committed, and at least one conflict, a ``conflict``
-    selection of a correct leader at or after the tail start, cited with
-    its seq number. Every witness must be one of the two."""
-    if obs.tail_start is None or obs.pending_count:
-        return False
-    committed = {c["tuple"]["command"]["id"] for c in obs.correct_commits()}
-    waiting = [
-        {"stuck_command": w.command.id, "client": w.client}
-        for w in obs.workload
-        if w.client not in obs.config.faulty_client_ids and w.command.id not in committed
-    ]
-    correct = obs.config.correct_replicas()
-    conflicts = [
-        {"conflict": {k: s[k] for k in _CONFLICT_FIELDS}, "seq_no": s["seq_no"]}
-        for s in obs.selections
-        if s["outcome"] == "conflict" and s["seq_no"] >= obs.tail_start and s["leader"] in correct
-    ]
-    stuck = [w for w in witnesses if w in waiting]
-    cited = [w for w in witnesses if w in conflicts]
-    return bool(stuck) and bool(cited) and len(stuck) + len(cited) == len(witnesses)
-
-
-def _verify_divergence(witnesses: tuple[dict[str, Any], ...], obs: Observations) -> bool:
-    """Divergence witnesses: each names a committed interfering pair and
-    the order a correct replica finally executed it in, which must be the
-    order in ``final_executed``; every pair needs two differing orders."""
-    committed = _committed_commands(obs)
-    correct = set(obs.config.correct_replicas())
-    orders: dict[tuple[str, str], set[str]] = {}
-    for w in witnesses:
-        a, b = w["pair"]
-        if a not in committed or b not in committed:
-            return False
-        if not interferes(committed[a]["command"], committed[b]["command"]):
-            return False
-        executed = obs.final_executed.get(w["replica"], [])
-        if w["replica"] not in correct or a not in executed or b not in executed:
-            return False
-        order = f"{a}<{b}" if executed.index(a) < executed.index(b) else f"{b}<{a}"
-        if w["order"] != order:
-            return False
-        orders.setdefault((a, b), set()).add(order)
-    return bool(orders) and all(len(seen) >= 2 for seen in orders.values())
+    elif prop == EXECUTION_CONSISTENCY and all("pair" in w for w in witnesses):
+        by_pair: dict[tuple, set[tuple]] = {}
+        for w in witnesses:
+            by_pair.setdefault(tuple(w["pair"]), set()).add((w["replica"], w["order"]))
+        shown = all(map(_diverged, by_pair.values()))
+    elif paired:
+        interfering = set(_interfering(committed))
+        # A divergence witness among pair witnesses names no command.
+        ids = [w.get("command") for w in witnesses]
+        shown = len(ids) % 2 == 0 and all(
+            (a, b) in interfering and _uncovered(committed[a], committed[b])
+            for a, b in zip(ids[::2], ids[1::2])
+        )
+    else:
+        shown = True
+    return shown and report.trace_slice == _slice(w["seq_no"] for w in witnesses if "seq_no" in w)

@@ -92,12 +92,8 @@ class ScheduleBuilder:
     """
 
     def __init__(self, cfg: Config, workload: tuple[WorkItem, ...], seq_mode: str = "max"):
-        self.cfg = cfg
-        self.workload = workload
-        self.seq_mode = seq_mode
         self.sim = Sim(cfg, workload, record_trace=True, seq_mode=seq_mode)
         self.events: list[Event] = []
-        self.tail_start: int | None = None
 
     def _apply(self, event: Event) -> dict:
         self.events.append(event)
@@ -137,8 +133,7 @@ class ScheduleBuilder:
 
     def mark_tail(self) -> None:
         """Everything from the next event on counts as the synchronous tail."""
-        self.tail_start = self.sim.seq_no
-        self.sim.tail_start = self.tail_start
+        self.sim.tail_start = self.sim.seq_no
 
     def drain(self) -> int:
         """Deliver pending messages oldest-first until none remain."""
@@ -167,9 +162,8 @@ class ScheduleBuilder:
         return CommitCertificate(kind, replies)
 
     def schedule(self) -> Schedule:
-        return Schedule(
-            self.cfg, self.workload, tuple(self.events), self.tail_start, self.seq_mode
-        )
+        sim = self.sim
+        return Schedule(sim.cfg, sim.workload, tuple(self.events), sim.tail_start, sim.seq_mode)
 
 
 @dataclass

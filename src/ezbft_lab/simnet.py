@@ -251,7 +251,7 @@ def _check_record(record: Any) -> None:
                 json_field(eff, key, str)
             json_field(eff, "owner_number", int)
             # A conflict names both certified tuples; other outcomes may not.
-            conflict = json_field(eff, "outcome", str) == "conflict"
+            conflict = json_field(eff, "outcome", str) == owner_change.CONFLICT
             for key in ("tuple", "second"):
                 value = json_field(eff, key, dict, optional=not conflict)
                 if value is not None:
@@ -293,8 +293,8 @@ class TransitionMemo:
     clearing is always safe: the memo starts over once it holds
     ``MEMO_CAP`` steps. Starting over replaces the step table, so callers
     go through ``lookup`` and ``store`` and keep no reference to it.
-    ``Sim._recall`` looks a step up once per event and installs a hit;
-    ``Sim._react`` computes and stores a miss.
+    ``Sim._step`` looks a step up once per event, and computes and stores
+    it on a miss.
     """
 
     def __init__(self) -> None:
@@ -392,8 +392,6 @@ class Sim:
         self.commit_log: list[dict[str, Any]] = []
         self.selection_log: list[dict[str, Any]] = []
         self._memo = memo
-        # The nodes whose states are canonical and whose steps the memo holds.
-        self._canonical: frozenset[str] = frozenset()
 
         for item in workload:
             state = self.clients.setdefault(item.client, ClientState(item.client))
@@ -401,10 +399,9 @@ class Sim:
             self._emit(item.client, [(item.target, ClientRequest(item.client, item.command))], 0)
         if memo is not None:
             faulty = cfg.byzantine_ids | cfg.faulty_client_ids
-            self._canonical = frozenset(self.replicas).union(self.clients) - faulty
             for nodes in (self.replicas, self.clients):
                 for node in nodes:
-                    if node in self._canonical:
+                    if node not in faulty:
                         nodes[node] = memo.canonical(nodes[node])
 
     def clone(self) -> "Sim":
@@ -425,7 +422,6 @@ class Sim:
         twin.commit_log = list(self.commit_log)
         twin.selection_log = list(self.selection_log)
         twin._memo = self._memo
-        twin._canonical = self._canonical
         return twin
 
     def _own(self, node: str) -> Any:
@@ -494,40 +490,30 @@ class Sim:
             self._pending = {m[0]: Envelope(*m) for m in fifo}
         raise ScheduleError(f"drain did not quiesce within {DRAIN_CAP} deliveries")
 
-    def _recall(self, node: str, key: tuple) -> tuple[Outputs, Effects] | None:
-        """The memoized step of canonical ``node`` for the event input
-        ``key``: install its result state and return its outputs and
-        effects. Return None, changing nothing, when ``node`` is not
-        canonical or the memo does not hold the step."""
-        if node not in self._canonical:
-            return None
-        nodes: dict[str, Any] = self.clients if node in self.clients else self.replicas
-        step = self._memo.lookup(nodes[node], key)
-        if step is None:
-            return None
-        nodes[node] = step.after
-        return step.outputs, step.effects
-
-    def _react(
+    def _step(
         self,
         node: str,
         key: tuple,
         keep: Any,
-        handler: Callable[[Any], tuple[list[tuple[str, Any]], list[dict[str, Any]]]],
+        handler: Callable[..., tuple[list[tuple[str, Any]], list[dict[str, Any]]]],
+        *args: Any,
     ) -> tuple[Outputs, Effects]:
-        """Run a correct node's handler on a copy of its state, once
-        ``_recall`` missed, and return its outputs and effects. With a
-        memo, the step is stored under the canonical state and ``key``
-        (``keep`` is an object the key names by identity), and the
-        canonical result state is installed."""
+        """Run correct ``node``'s ``handler(state, *args)`` and return its
+        outputs and effects. Without a memo the handler changes a private
+        copy of the state. With one, the step is looked up once under the
+        canonical state and the event input ``key`` (``keep`` is an object
+        the key names by identity), computed on a copy and stored on a
+        miss, and its canonical result state is installed."""
         memo = self._memo
         if memo is None:
-            return handler(self._own(node))
+            return handler(self._own(node), *args)
         nodes: dict[str, Any] = self.clients if node in self.clients else self.replicas
         before = nodes[node]
-        after = before.clone()
-        outputs, effects = handler(after)
-        step = memo.store(before, key, keep, after, outputs, effects)
+        step = memo.lookup(before, key)
+        if step is None:
+            after = before.clone()
+            outputs, effects = handler(after, *args)
+            step = memo.store(before, key, keep, after, outputs, effects)
         nodes[node] = step.after
         return step.outputs, step.effects
 
@@ -536,12 +522,7 @@ class Sim:
     ) -> tuple[Outputs, Effects]:
         """Hand a message taken from the pool to its recipient and return
         the recipient's outputs and effects, emitting nothing; every
-        delivery rule lives here. A memoized step is looked up first."""
-        key = (sender, id(payload))
-        hit = self._recall(node, key)
-        if hit is not None:
-            return hit
-
+        delivery rule lives here."""
         cfg = self.cfg
         if node in cfg.byzantine_ids:
             state = self._own(node)
@@ -550,11 +531,9 @@ class Sim:
 
         if node in cfg.replica_ids:
             try:
-                return self._react(
-                    node,
-                    key,
-                    payload,
-                    lambda state: adversary_mod.honest_step(state, cfg, sender, payload),
+                return self._step(
+                    node, (sender, id(payload)), payload,
+                    adversary_mod.honest_step, cfg, sender, payload,
                 )
             except adversary_mod.BadChoice as exc:
                 raise ScheduleError(f"message {env_id!r} cannot be delivered: {exc}") from exc
@@ -573,7 +552,7 @@ class Sim:
                 handler = client_mod.on_commit_reply
             else:
                 return [], [{"type": "drop", "node": node, "reason": "unexpected_payload"}]
-            return self._react(node, key, payload, lambda state: handler(state, cfg, payload))
+            return self._step(node, (sender, id(payload)), payload, handler, cfg, payload)
 
         raise ScheduleError(f"message {env_id!r} addressed to unknown node {node!r}")
 
@@ -640,12 +619,9 @@ class Sim:
             raise ScheduleError(f"timeout for unknown client {event.client!r}")
         if event.client in self.cfg.faulty_client_ids:
             raise ScheduleError("timeouts fire only for correct clients")
-        key = (TIMEOUT, event.command, self.seq_mode)
-        return self._recall(event.client, key) or self._react(
-            event.client,
-            key,
-            None,
-            lambda state: client_mod.on_timeout(state, self.cfg, event.command, self.seq_mode),
+        return self._step(
+            event.client, (TIMEOUT, event.command, self.seq_mode), None,
+            client_mod.on_timeout, self.cfg, event.command, self.seq_mode,
         )
 
     def _apply_trigger(self, event: Event) -> tuple[Outputs, Effects]:
@@ -655,12 +631,9 @@ class Sim:
             raise ScheduleError("owner-change triggers apply to correct replicas only")
         if event.instance is None:
             raise ScheduleError("owner-change trigger names no instance")
-        key = (TRIGGER_OWNER_CHANGE, event.instance)
-        return self._recall(event.replica, key) or self._react(
-            event.replica,
-            key,
-            None,
-            lambda state: owner_change.make_vote(state, self.cfg, event.instance),
+        return self._step(
+            event.replica, (TRIGGER_OWNER_CHANGE, event.instance), None,
+            owner_change.make_vote, self.cfg, event.instance,
         )
 
     def _apply_adversary(self, event: Event) -> tuple[Outputs, Effects]:

@@ -9,6 +9,14 @@ BYZ = Config(
     byzantine_ids=frozenset({"T"}),
     faulty_client_ids=frozenset({"c1"}),
 )
+# The four fault configs: none, a byzantine replica T, a faulty client c1,
+# and both.
+FAULT_CONFIGS = {
+    "honest": CORRECT,
+    "byzantine": Config(4, 1, ("R", "L", "Q", "T"), byzantine_ids=frozenset({"T"})),
+    "faulty-client": Config(4, 1, ("R", "L", "Q", "T"), faulty_client_ids=frozenset({"c1"})),
+    "both": BYZ,
+}
 
 
 def two_commands(second_target):

@@ -3,8 +3,11 @@ report verifier. Scenario-independent cases build observations by hand."""
 
 import dataclasses
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ezbft_lab.adversary import (
     BYZ_EQUIVOCATE_SPEC_ORDER,
@@ -26,10 +29,22 @@ from ezbft_lab.checkers import (
     verify_report,
 )
 from ezbft_lab.core import Command, Config, InstanceId, OrderingTuple
-from ezbft_lab.explorer import extend_with_tail
+from ezbft_lab.explorer import ExploreBounds, enabled_moves, extend_with_tail
 from ezbft_lab.messages import CommitCertificate
 from ezbft_lab.scenarios import SCENARIO_NAMES, build_happy_path, build_scenario, golden_text
-from ezbft_lab.simnet import ADVERSARY, DELIVER, Event, Schedule, Sim, Trace, WorkItem, run
+from ezbft_lab.simnet import (
+    ADVERSARY,
+    DELIVER,
+    Event,
+    Schedule,
+    ScheduleError,
+    Sim,
+    Trace,
+    WorkItem,
+    run,
+)
+
+from shared import FAULT_CONFIGS, two_commands
 
 
 def _commit(replica, instance, cmd, deps, seq, seq_no=0):
@@ -540,6 +555,94 @@ def _liveness_observed_otherwise(obs, cmd_b):
 def test_verify_report_checks_liveness_witnesses_against_the_observations(tmp_path, cmd_b, case):
     report, obs = _golden_liveness(tmp_path)
     assert not verify_report(report, _liveness_observed_otherwise(obs, cmd_b)[case])
+
+
+@pytest.fixture(scope="module")
+def golden_reports(tmp_path_factory):
+    return _golden_reports(tmp_path_factory.mktemp("goldens"))
+
+
+# Values of five types; a replacement is drawn from the ones whose type
+# differs from the value it replaces, so it never compares equal to it.
+_OTHER_TYPED = (None, "0", 0, [], {"0": 0})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_verify_report_is_total(golden_reports, data):
+    """A golden report with one witness field deleted, retyped or added,
+    or with an unknown property, is rejected; nothing raises."""
+    _name, report, obs = data.draw(st.sampled_from(golden_reports))
+    witnesses = [dict(w) for w in report.witnesses]
+    prop = report.property
+    tamper = data.draw(st.sampled_from(("delete", "retype", "add", "property")))
+    if tamper == "property":
+        prop = data.draw(st.text(max_size=12).filter(lambda p: p not in CHECKER_ORDER))
+    else:
+        w = witnesses[data.draw(st.integers(0, len(witnesses) - 1))]
+        key = data.draw(st.sampled_from(sorted(w)))
+        if tamper == "delete":
+            del w[key]
+        elif tamper == "retype":
+            w[key] = data.draw(
+                st.sampled_from(_OTHER_TYPED).filter(lambda v: type(v) is not type(w[key]))
+            )
+        else:
+            w[data.draw(st.text(max_size=8).filter(lambda k: k not in w))] = data.draw(
+                st.none() | st.integers() | st.text(max_size=4)
+            )
+    tampered = ViolationReport(prop, tuple(witnesses), report.trace_slice, report.details)
+    assert verify_report(tampered, obs) is False
+
+
+DIFFERENTIAL_WALKS = 40
+DIFFERENTIAL_DEPTH = 30
+
+
+def _walk(config, rng):
+    """A random walk of enabled moves sending ``b`` to a random replica,
+    completed by the synchronous tail: the walk's Sim and its schedule. A
+    faulty client acts at most once, as in the explorer."""
+    workload = two_commands(rng.choice(config.replica_ids))
+    bounds = ExploreBounds(workload=workload, max_events=DIFFERENTIAL_DEPTH)
+    sim = Sim(config, workload)
+    events = []
+    acted: frozenset[str] = frozenset()
+    while len(events) < DIFFERENTIAL_DEPTH:
+        moves = enabled_moves(sim, bounds, acted)
+        rng.shuffle(moves)
+        for move in moves:
+            child = sim.clone()
+            try:
+                child.apply(move)
+            except ScheduleError:
+                continue
+            break
+        else:
+            break
+        sim = child
+        events.append(move)
+        if move.kind == ADVERSARY and move.node in config.faulty_client_ids:
+            acted = acted | {move.node}
+    tail = extend_with_tail(sim, bounds)
+    return sim, Schedule(config, workload, tuple(events + tail), tail_start=len(events))
+
+
+@pytest.mark.parametrize("name", sorted(FAULT_CONFIGS))
+def test_every_walk_report_verifies_against_its_traced_replay(name):
+    """The checkers read a live Sim; the verifier reads the trace of a
+    replay of the same schedule. Every report must verify."""
+    config = FAULT_CONFIGS[name]
+    found = set()
+    for seed in range(DIFFERENTIAL_WALKS):
+        sim, schedule = _walk(config, random.Random(seed))
+        reports, _notes = run_checkers(Observations.from_sim(sim))
+        _replayed, trace = run(schedule, record_trace=True)
+        obs = Observations.from_trace(trace)
+        for report in reports:
+            assert verify_report(report, obs), (name, seed, report.to_json())
+            found.add(report.property)
+    assert found
 
 
 def test_report_json_round_trip():

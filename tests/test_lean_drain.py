@@ -27,7 +27,6 @@ import pytest
 
 from ezbft_lab import explorer, simnet
 from ezbft_lab.checkers import Observations, run_checkers
-from ezbft_lab.core import Config
 from ezbft_lab.explorer import ExploreBounds, enabled_moves, explore, extend_with_tail
 from ezbft_lab.simnet import (
     ADVERSARY,
@@ -38,18 +37,9 @@ from ezbft_lab.simnet import (
     TransitionMemo,
 )
 
-from shared import two_commands
+from shared import FAULT_CONFIGS, two_commands
 
 
-REPLICAS = ("R", "L", "Q", "T")
-CONFIGS = {
-    "honest": Config(4, 1, REPLICAS),
-    "byzantine": Config(4, 1, REPLICAS, byzantine_ids=frozenset({"T"})),
-    "faulty-client": Config(4, 1, REPLICAS, faulty_client_ids=frozenset({"c1"})),
-    "both": Config(
-        4, 1, REPLICAS, byzantine_ids=frozenset({"T"}), faulty_client_ids=frozenset({"c1"})
-    ),
-}
 SEARCH_DEPTH = 4
 WALKS = 6
 WALK_DEPTH = 10
@@ -73,8 +63,15 @@ def _without_memo(sim):
     """A twin of a memo Sim that delivers without the memo."""
     twin = sim.clone()
     twin._memo = None
-    twin._canonical = frozenset()
     return twin
+
+
+def _canonical_nodes(sim):
+    """The nodes whose states a memo Sim keeps canonical: the correct ones."""
+    if sim._memo is None:
+        return []
+    faulty = sim.cfg.byzantine_ids | sim.cfg.faulty_client_ids
+    return [node for node in (*sim.replicas, *sim.clients) if node not in faulty]
 
 
 def _outcome(sim, events):
@@ -135,7 +132,7 @@ def _assert_tail_matches_apply(sim, bounds, lean_first, resets):
     assert traced.records == reference.records
     assert len(reference.records) == len(lean_events)
     shared = resets[0] == before
-    for node in lean._canonical:
+    for node in _canonical_nodes(lean):
         mine = lean.clients if node in lean.clients else lean.replicas
         for other in (traced, reference):
             theirs = other.clients if node in other.clients else other.replicas
@@ -146,9 +143,9 @@ def _assert_tail_matches_apply(sim, bounds, lean_first, resets):
     return lean_events
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize("name", sorted(FAULT_CONFIGS))
 def test_every_search_terminal_tail_matches_apply(monkeypatch, resets, name):
-    config = CONFIGS[name]
+    config = FAULT_CONFIGS[name]
     bounds = ExploreBounds(workload=two_commands("T"), max_events=SEARCH_DEPTH)
     checked = [0]
 
@@ -166,9 +163,9 @@ def test_every_search_terminal_tail_matches_apply(monkeypatch, resets, name):
 
 
 @pytest.mark.parametrize("memo", [True, False], ids=["memo", "plain"])
-@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize("name", sorted(FAULT_CONFIGS))
 def test_seeded_walk_tails_match_apply(resets, name, memo):
-    config = CONFIGS[name]
+    config = FAULT_CONFIGS[name]
     workload = two_commands("T")
     bounds = ExploreBounds(workload=workload, max_events=WALK_DEPTH)
     shared = TransitionMemo() if memo else None
@@ -201,7 +198,7 @@ def test_seeded_walk_tails_match_apply(resets, name, memo):
 @pytest.mark.parametrize("memo", [True, False], ids=["memo", "plain"])
 def test_a_drain_cut_short_leaves_the_rest_pending(monkeypatch, memo):
     monkeypatch.setattr(simnet, "DRAIN_CAP", 3)
-    sim = Sim(CONFIGS["honest"], two_commands("Q"), memo=TransitionMemo() if memo else None)
+    sim = Sim(FAULT_CONFIGS["honest"], two_commands("Q"), memo=TransitionMemo() if memo else None)
     traced, reference = sim.clone(), _reference(sim)
     traced.record_trace = True
     for twin in (sim, traced, reference):

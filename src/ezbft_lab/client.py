@@ -6,10 +6,27 @@ complete when enough identical evidence has come back.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
-from .core import Command, Config, InstanceId, OrderingTuple, tuples_equal
-from .messages import Commit, CommitCertificate, CommitFast, CommitReply, SpecReply, payload_to_json
+from .core import (
+    Command,
+    Config,
+    InstanceId,
+    OrderingTuple,
+    canonical_json,
+    json_object,
+    state_json,
+    tuples_equal,
+)
+from .messages import (
+    Commit,
+    CommitCertificate,
+    CommitFast,
+    CommitReply,
+    SpecReply,
+    payload_text,
+    payloads_text,
+)
 
 SPECULATING = "speculating"
 FINALIZING = "finalizing"
@@ -47,8 +64,8 @@ class PendingRequest:
 @dataclass
 class ClientState:
     """One client's local state. Like ``ReplicaState`` it carries its part
-    of the search ``key`` and its trace ``digest``, filled by the Sim on
-    first use."""
+    of the search ``key``, its trace ``digest`` and its field ``texts``,
+    filled on first use; ``clone()`` hands ``texts`` on."""
 
     id: str
     requests: dict[str, PendingRequest] = field(default_factory=dict)
@@ -57,13 +74,18 @@ class ClientState:
     received: list[SpecReply] = field(default_factory=list)
     key: tuple | None = field(default=None, init=False, compare=False, repr=False)
     digest: str | None = field(default=None, init=False, compare=False, repr=False)
+    texts: dict[str, tuple[Any, str]] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def clone(self) -> "ClientState":
-        return ClientState(
+        twin = ClientState(
             id=self.id,
             requests={k: v.clone() for k, v in self.requests.items()},
             received=list(self.received),
         )
+        twin.texts = self.texts
+        return twin
 
     def value(self) -> tuple:
         """The state as one hashable value of its frozen parts: dicts
@@ -89,25 +111,39 @@ class ClientState:
             tuple(self.received),
         )
 
-    def to_json(self) -> dict[str, Any]:
-        """The state as trace digests see it."""
-        return {
-            "id": self.id,
-            "requests": {
-                cid: {
-                    "target": req.target,
-                    "phase": req.phase,
-                    "timer_armed": req.timer_armed,
-                    "replies": {s: payload_to_json(r) for s, r in req.replies.items()},
-                    "commit_replies": {s: payload_to_json(r) for s, r in req.commit_replies.items()},
-                }
-                for cid, req in self.requests.items()
-            },
-            "received": [payload_to_json(r) for r in self.received],
-        }
+    def to_json(self) -> str:
+        """The state's canonical JSON text, which trace digests hash."""
+        return state_json(self, _CLIENT_FIELDS)
 
     def request_for(self, command_id: str) -> PendingRequest | None:
         return self.requests.get(command_id)
+
+
+def _request_text(req: PendingRequest) -> str:
+    return json_object([
+        ("target", canonical_json(req.target)),
+        ("phase", canonical_json(req.phase)),
+        ("timer_armed", canonical_json(req.timer_armed)),
+        ("replies", payloads_text(req.replies)),
+        ("commit_replies", payloads_text(req.commit_replies)),
+    ])
+
+
+def _requests_text(requests: dict[str, PendingRequest]) -> str:
+    return json_object([(cid, _request_text(req)) for cid, req in requests.items()])
+
+
+def _received_text(received: list[SpecReply]) -> str:
+    return "[" + ",".join([payload_text(r) for r in received]) + "]"
+
+
+# ClientState's JSON form: each attribute, under its own name, and the
+# function that writes its value's JSON text.
+_CLIENT_FIELDS: tuple[tuple[str, Callable[[Any], str]], ...] = (
+    ("id", canonical_json),
+    ("requests", _requests_text),
+    ("received", _received_text),
+)
 
 
 def new_request(state: ClientState, cmd: Command, target: str) -> None:

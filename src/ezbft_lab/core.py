@@ -6,7 +6,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Mapping, TypeVar
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Iterable, Mapping, TypeVar
 
 _Class = TypeVar("_Class", bound=type)
 
@@ -57,6 +58,17 @@ def cached_hash(cls: _Class) -> _Class:
 
     cls.__hash__ = __hash__  # type: ignore[assignment]
     return cls
+
+
+def cached_json(value: Any, to_json: Callable[[Any], Any]) -> str:
+    """``canonical_json(to_json(value))`` of a frozen value, computed once
+    per object and kept in its ``__dict__`` beside ``cached_hash``'s hash.
+    Each frozen type has one JSON form, so one slot serves every caller."""
+    cache = value.__dict__
+    text = cache.get("_json")
+    if text is None:
+        text = cache["_json"] = canonical_json(to_json(value))
+    return text
 
 
 @dataclass(frozen=True, order=True)
@@ -211,11 +223,48 @@ def tuple_sort_key(t: OrderingTuple) -> tuple:
     return (t.seq, t.command.id, tuple(sorted(str(d) for d in t.deps)))
 
 
+# Built once: json.dumps with these arguments builds a new encoder per call.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(value: Any) -> str:
-    """Stable, compact JSON used for digests and golden files."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    """Stable, compact JSON used for digests and golden files: sorted keys,
+    no spaces, non-ASCII characters escaped."""
+    return _CANONICAL.encode(value)
+
+
+def json_object(members: Iterable[tuple[str, str]]) -> str:
+    """The JSON object of ``(key, canonical JSON text of its value)``
+    members, written as ``canonical_json`` writes a dict: keys sorted,
+    no spaces, keys ASCII-escaped."""
+    return "{" + ",".join(
+        [encode_basestring_ascii(key) + ":" + text for key, text in sorted(members)]
+    ) + "}"
+
+
+def state_json(state: Any, fields: Iterable[tuple[str, Callable[[Any], str]]]) -> str:
+    """The canonical JSON text of a node state: the JSON object of each
+    attribute named in ``fields``, encoded by the function beside it.
+
+    The state keeps ``(value, text)`` for each field in ``texts``, and a
+    clone starts from its parent's, so a field equal to the value its kept
+    text was built from reuses that text. That is sound because a Sim
+    never changes a state once it installed it."""
+    kept = state.texts or {}
+    texts = {}
+    for name, encode in fields:
+        value = getattr(state, name)
+        old = kept.get(name)
+        texts[name] = (value, old[1] if old is not None and old[0] == value else encode(value))
+    state.texts = texts
+    return json_object([(name, text) for name, (_value, text) in texts.items()])
+
+
+def text_digest(text: str) -> str:
+    """Short stable digest of a canonical JSON text."""
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def digest(value: Any) -> str:
     """Short stable digest of a JSON-serializable structure."""
-    return hashlib.sha256(canonical_json(value).encode()).hexdigest()[:16]
+    return text_digest(canonical_json(value))

@@ -16,7 +16,9 @@ from .core import (
     OrderingTuple,
     OwnerNumber,
     cached_hash,
+    cached_json,
     json_field,
+    json_object,
 )
 
 
@@ -265,6 +267,17 @@ def payload_to_json(p: Payload) -> dict[str, Any]:
             "proof": [payload_to_json(v) for v in p.proof],
         }
     raise TypeError(f"unknown payload {p!r}")
+
+
+def payload_text(p: Payload) -> str:
+    """The canonical JSON text of ``payload_to_json(p)``, encoded once per
+    payload object."""
+    return cached_json(p, payload_to_json)
+
+
+def payloads_text(items: Mapping[str, Payload]) -> str:
+    """The canonical JSON text of a dict of payloads keyed by node id."""
+    return json_object([(key, payload_text(p)) for key, p in items.items()])
 
 
 def certificate_to_json(c: CommitCertificate) -> dict[str, Any]:

@@ -8,7 +8,7 @@ envelopes) and effects are trace records of what changed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from .core import (
     Command,
@@ -17,7 +17,11 @@ from .core import (
     OrderingTuple,
     OwnerNumber,
     cached_hash,
+    cached_json,
+    canonical_json,
     interferes,
+    json_object,
+    state_json,
     tuples_equal,
 )
 from .messages import (
@@ -28,7 +32,8 @@ from .messages import (
     SpecOrder,
     SpecReply,
     certificate_to_json,
-    payload_to_json,
+    payload_text,
+    payloads_text,
 )
 
 SPECULATED = "speculated"
@@ -64,9 +69,10 @@ class ReplicaState:
     ``value()`` is the state's one identity: the transition memo
     hash-conses states by it and the search's state key is built from it.
     A Sim never changes a state once it installed it, so the state carries
-    its derived forms: ``key`` (its part of the search key) and ``digest``
-    (the trace digest), filled by the Sim on first use. Neither is a
-    constructor option or part of ``value()``."""
+    its derived forms: ``key`` (its part of the search key), ``digest``
+    (the trace digest) and ``texts`` (the JSON text of each field, see
+    ``core.state_json``), filled on first use. None is a constructor
+    option or part of ``value()``; ``clone()`` hands ``texts`` on."""
 
     id: str
     next_slot: int = 0
@@ -88,9 +94,12 @@ class ReplicaState:
     consumed: frozenset[int] = frozenset()
     key: tuple | None = field(default=None, init=False, compare=False, repr=False)
     digest: str | None = field(default=None, init=False, compare=False, repr=False)
+    texts: dict[str, tuple[Any, str]] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def clone(self) -> "ReplicaState":
-        return ReplicaState(
+        twin = ReplicaState(
             id=self.id,
             next_slot=self.next_slot,
             log=dict(self.log),
@@ -104,6 +113,8 @@ class ReplicaState:
             inbox=self.inbox,
             consumed=self.consumed,
         )
+        twin.texts = self.texts
+        return twin
 
     def value(self) -> tuple:
         """The state as one hashable value of its frozen parts. Dicts and
@@ -127,31 +138,9 @@ class ReplicaState:
             self.consumed,
         )
 
-    def to_json(self) -> dict[str, Any]:
-        """The state as trace digests see it."""
-        return {
-            "id": self.id,
-            "next_slot": self.next_slot,
-            "log": {
-                str(i): {
-                    "tuple": rec.tuple.to_json(),
-                    "owner_number": rec.owner_number,
-                    "status": rec.status,
-                    "certificate": certificate_to_json(rec.certificate) if rec.certificate else None,
-                }
-                for i, rec in self.log.items()
-            },
-            "sent_replies": {str(i): payload_to_json(r) for i, r in self.sent_replies.items()},
-            "owner_numbers": {str(i): n for i, n in self.owner_numbers.items()},
-            "votes": {
-                f"{i}@{n}": {s: payload_to_json(v) for s, v in votes.items()}
-                for (i, n), votes in self.votes.items()
-            },
-            "decisions": {f"{i}@{n}": d.to_json() for (i, n), d in self.decisions.items()},
-            "voted": sorted(f"{i}@{n}" for i, n in self.voted),
-            "executed": [list(e) for e in self.executed],
-            "kv": {k: list(v) for k, v in self.kv.items()},
-        }
+    def to_json(self) -> str:
+        """The state's canonical JSON text, which trace digests hash."""
+        return state_json(self, _REPLICA_FIELDS)
 
     def current_owner_number(self, cfg: Config, instance: InstanceId) -> OwnerNumber:
         return self.owner_numbers.get(instance, cfg.default_owner_number(instance))
@@ -166,6 +155,53 @@ class ReplicaState:
         return frozenset(
             i for i, rec in self.log.items() if interferes(rec.tuple.command, cmd)
         )
+
+
+def _by_instance(items: dict[InstanceId, Any], encode: Callable[[Any], str]) -> str:
+    return json_object([(str(i), encode(v)) for i, v in items.items()])
+
+
+def _by_number(
+    items: dict[tuple[InstanceId, OwnerNumber], Any], encode: Callable[[Any], str]
+) -> str:
+    return json_object([(f"{i}@{n}", encode(v)) for (i, n), v in items.items()])
+
+
+def _record_text(rec: InstanceRecord) -> str:
+    """The record's JSON text as its replica's log holds it, under its
+    instance. It is written from the kept texts of its tuple and its
+    certificate, which other records and payloads share, and kept on the
+    record in ``cached_json``'s slot."""
+    text = rec.__dict__.get("_json")
+    if text is None:
+        cert = rec.certificate
+        text = rec.__dict__["_json"] = json_object([
+            ("tuple", cached_json(rec.tuple, OrderingTuple.to_json)),
+            ("owner_number", canonical_json(rec.owner_number)),
+            ("status", canonical_json(rec.status)),
+            ("certificate", "null" if cert is None else cached_json(cert, certificate_to_json)),
+        ])
+    return text
+
+
+def _selection_text(selection: Any) -> str:
+    return cached_json(selection, type(selection).to_json)
+
+
+# ReplicaState's JSON form: each attribute, under its own name, and the
+# function that writes its value's JSON text.
+_REPLICA_FIELDS: tuple[tuple[str, Callable[[Any], str]], ...] = (
+    ("id", canonical_json),
+    ("next_slot", canonical_json),
+    ("log", lambda log: _by_instance(log, _record_text)),
+    ("sent_replies", lambda sent: _by_instance(sent, payload_text)),
+    ("owner_numbers", lambda numbers: _by_instance(numbers, canonical_json)),
+    ("votes", lambda votes: _by_number(votes, payloads_text)),
+    ("decisions", lambda decisions: _by_number(decisions, _selection_text)),
+    ("voted", lambda voted: canonical_json(sorted(f"{i}@{n}" for i, n in voted))),
+    ("executed", canonical_json),
+    ("kv", canonical_json),
+)
 
 
 def execution_order(records: Iterable[InstanceRecord], replica_order: tuple[str, ...]) -> list[InstanceRecord]:

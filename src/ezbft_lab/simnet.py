@@ -34,9 +34,9 @@ from .core import (
     InstanceId,
     OrderingTuple,
     canonical_json,
-    digest,
     json_field,
     json_strings,
+    text_digest,
 )
 from .messages import ClientRequest, CommitReply, Envelope, SpecReply, envelope_to_json
 from .replica import ReplicaState
@@ -166,13 +166,19 @@ class Schedule:
             seq_mode = json_field(data, "seq_mode", str, optional=True) or client_mod.SEQ_MODE_MAX
             if seq_mode not in (client_mod.SEQ_MODE_MAX, client_mod.SEQ_MODE_RECOMPUTE):
                 raise ValueError(f"unknown seq mode {seq_mode!r}")
-            return Schedule(
+            schedule = Schedule(
                 config=Config.from_json(json_field(data, "config", dict)),
                 workload=tuple(WorkItem.from_json(w) for w in json_field(data, "workload", list)),
                 events=tuple(Event.from_json(e) for e in json_field(data, "events", list)),
                 tail_start=json_field(data, "tail_start", int, optional=True),
                 seq_mode=seq_mode,
             )
+            # The tail is a suffix of the events, empty when it starts at
+            # their end.
+            tail_start, count = schedule.tail_start, len(schedule.events)
+            if tail_start is not None and not 0 <= tail_start <= count:
+                raise ValueError(f"tail_start {tail_start} is outside the {count} events")
+            return schedule
 
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -631,6 +637,7 @@ class Sim:
             raise ScheduleError("owner-change triggers apply to correct replicas only")
         if event.instance is None:
             raise ScheduleError("owner-change trigger names no instance")
+        self._check_instance(event.instance)
         return self._step(
             event.replica, (TRIGGER_OWNER_CHANGE, event.instance), None,
             owner_change.make_vote, self.cfg, event.instance,
@@ -642,6 +649,8 @@ class Sim:
             if node in self.cfg.byzantine_ids:
                 if not isinstance(event.choice, ByzantineChoice):
                     raise ScheduleError(f"{node} takes byzantine choices")
+                if event.choice.instance is not None:
+                    self._check_instance(event.choice.instance)
                 return adversary_mod.apply_byzantine(self._own(node), self.cfg, event.choice)
             if node in self.cfg.faulty_client_ids:
                 if not isinstance(event.choice, FaultyClientChoice):
@@ -653,15 +662,23 @@ class Sim:
         except (adversary_mod.BadChoice, adversary_mod.ForgedReply) as exc:
             raise ScheduleError(f"adversary event failed: {exc}") from exc
 
+    def _check_instance(self, instance: InstanceId) -> None:
+        """Refuse an event's instance whose owner is not a replica: every
+        owner-number rule starts from the owner's position."""
+        if instance.owner not in self.cfg.replica_ids:
+            raise ScheduleError(
+                f"instance {instance} is owned by {instance.owner!r}, not a replica"
+            )
+
     # -- snapshots --------------------------------------------------------
 
     def node_digests(self) -> dict[str, str]:
         """Digest of every replica and client state, as trace records
-        carry them."""
+        carry them: the sha256 of the state's canonical JSON text."""
         digests: dict[str, str] = {}
         for node, state in (*self.replicas.items(), *self.clients.items()):
             if state.digest is None:
-                state.digest = digest(state.to_json())
+                state.digest = text_digest(state.to_json())
             digests[node] = state.digest
         return digests
 

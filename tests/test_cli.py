@@ -183,6 +183,63 @@ def test_replay_of_a_certificate_holding_another_payload_kind_is_an_error(tmp_pa
     assert err.startswith("error: malformed schedule") and "spec_reply" in err
 
 
+def _liveness_with_tail_start(tail_start):
+    """The liveness golden's schedule with ``tail_start`` replaced, and
+    its event count."""
+    data = build_scenario("liveness").schedule.to_json()
+    data["tail_start"] = tail_start(len(data["events"]))
+    return data, len(data["events"])
+
+
+@pytest.mark.parametrize(
+    "tail_start", [lambda n: -3, lambda n: n + 5], ids=["negative", "past-the-events"]
+)
+def test_a_tail_start_outside_the_schedule_is_an_error(tmp_path, capsys, tail_start):
+    data, count = _liveness_with_tail_start(tail_start)
+    message = f"error: malformed schedule: tail_start {data['tail_start']} is outside"
+    schedule = tmp_path / "bad.schedule.json"
+    schedule.write_text(json.dumps(data))
+    assert main(["replay", str(schedule)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message) and str(count) in captured.err
+    assert captured.out == ""
+    # The same schedule as a trace header.
+    lines = build_scenario("liveness").trace.serialize().splitlines()
+    trace = tmp_path / "bad.trace.jsonl"
+    trace.write_text("\n".join([json.dumps({"schedule": data})] + lines[1:]) + "\n")
+    assert main(["check", str(trace)]) == 1
+    assert capsys.readouterr().err.startswith(message)
+
+
+def test_a_tail_start_at_the_end_of_the_events_is_an_empty_tail(tmp_path, capsys):
+    data, _count = _liveness_with_tail_start(lambda n: n)
+    schedule = tmp_path / "empty-tail.schedule.json"
+    schedule.write_text(json.dumps(data))
+    assert main(["replay", str(schedule)]) == 2
+    assert capsys.readouterr().err == ""
+
+
+def _trigger(data):
+    return next(e for e in data["events"] if e["kind"] == "trigger_owner_change")
+
+
+def _arbitrary_vote(data):
+    return next(
+        e["choice"] for e in data["events"]
+        if (e.get("choice") or {}).get("kind") == "arbitrary_owner_change_tuple"
+    )
+
+
+@pytest.mark.parametrize("event", [_trigger, _arbitrary_vote], ids=["trigger", "byzantine-vote"])
+def test_an_instance_owned_by_no_replica_is_named(tmp_path, capsys, event):
+    data = build_scenario("safety").schedule.to_json()
+    event(data)["instance"] = "Z.0"
+    schedule = tmp_path / "bad.schedule.json"
+    schedule.write_text(json.dumps(data))
+    assert main(["replay", str(schedule)]) == 1
+    assert capsys.readouterr().err == "error: instance Z.0 is owned by 'Z', not a replica\n"
+
+
 def test_check_of_a_malformed_trace_is_an_error(tmp_path, capsys):
     good = build_scenario("liveness").trace.serialize().splitlines()
     trace = tmp_path / "bad.trace.jsonl"

@@ -1,6 +1,10 @@
 """Identifiers, membership math, and ordering-tuple primitives."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ezbft_lab.core import (
     Command,
@@ -10,6 +14,7 @@ from ezbft_lab.core import (
     canonical_json,
     digest,
     interferes,
+    json_object,
     tuple_sort_key,
     tuples_equal,
 )
@@ -107,3 +112,23 @@ def test_digest_is_short_stable_hex():
     assert d == digest({"x": 1})
     assert len(d) == 16
     int(d, 16)  # hex or this raises
+
+
+# Text with quotes, backslashes, control and non-ASCII characters.
+TEXT = st.text(st.sampled_from('"\\/\n\t\x00aé☃\U0001f600') | st.characters(), max_size=6)
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(JSON, st.dictionaries(TEXT, JSON, max_size=4))
+def test_canonical_json_is_sorted_compact_ascii_json(value, members):
+    """``canonical_json`` writes what ``json.dumps`` writes with sorted keys
+    and compact separators, and ``json_object`` over already-encoded
+    members, given in any order, writes the dict as ``canonical_json``."""
+    assert canonical_json(value) == json.dumps(value, sort_keys=True, separators=(",", ":"))
+    encoded = [(key, canonical_json(item)) for key, item in members.items()]
+    assert json_object(reversed(encoded)) == canonical_json(members)

@@ -1,6 +1,12 @@
 """Scripted divergence runs: frozen verdicts and golden artifacts."""
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import ezbft_lab
 
 from ezbft_lab.core import InstanceId
 from ezbft_lab.scenarios import (
@@ -55,6 +61,27 @@ def test_scenario_reports_match_frozen_expectations(name):
 def test_golden_artifacts_are_byte_stable(name, kind):
     run = build_scenario(name)
     assert artifact_text(run, kind) == golden_text(name, kind)
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_golden_artifacts_do_not_depend_on_the_hash_seed(tmp_path, name):
+    """Node digests hash texts assembled from dicts and sets, so set and
+    dict iteration order must not reach them: ``scenario --out`` writes the
+    same bytes under two string-hash seeds."""
+    src = os.path.dirname(os.path.dirname(ezbft_lab.__file__))
+    written = []
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        subprocess.run(
+            [sys.executable, "-m", "ezbft_lab.cli", "scenario", name, "--out", str(out)],
+            env=env, capture_output=True, check=True, timeout=120,
+        )
+        written.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert written[0] == written[1]
+    assert sorted(written[0]) == ["reports.json", "schedule.json", "trace.jsonl"]
+    assert written[0]["trace.jsonl"].decode() == golden_text(name, "trace")
 
 
 def test_safety_commit_shape():

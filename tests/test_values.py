@@ -13,6 +13,12 @@ The search key must also identify states exactly as the canonical-JSON
 projection it replaced did: over every state of small searches and
 seeded walks in four fault configs, two fingerprints are equal exactly
 when the reference projections are.
+
+A node state's JSON text is assembled from texts kept on its frozen
+values and on its parent state; over every state of the goldens and of
+seeded walks it must equal the canonical JSON of the dict the state's
+JSON form was built from before, kept here as the reference, and its node
+digest the digest of that dict.
 """
 
 import dataclasses
@@ -22,7 +28,8 @@ import random
 import pytest
 
 from ezbft_lab import explorer
-from ezbft_lab.core import Command, Config, OrderingTuple, canonical_json
+from ezbft_lab.client import ClientState
+from ezbft_lab.core import Command, Config, OrderingTuple, canonical_json, digest
 from ezbft_lab.explorer import ExploreBounds, enabled_moves, explore, extend_with_tail
 from ezbft_lab.messages import (
     ClientRequest,
@@ -35,6 +42,7 @@ from ezbft_lab.messages import (
     OwnerChangeVote,
     SpecOrder,
     SpecReply,
+    certificate_to_json,
     payload_to_json,
 )
 from ezbft_lab.owner_change import CandidateTuple, Selection
@@ -52,7 +60,7 @@ from ezbft_lab.simnet import (
     WorkItem,
 )
 
-from shared import BYZ, CORRECT
+from shared import BYZ, CORRECT, FAULT_CONFIGS
 
 ESCAPED = Config(4, 1, ('R"', "Lé", "Q\\", "T☃"))
 CACHED_HASH = (
@@ -226,19 +234,54 @@ def test_events_round_trip_through_json():
         assert Event.from_json(event.to_json()) == event
 
 
-
-
-# The four fault configs of the lean-drain tests: none, a byzantine
-# replica, a faulty client, and both.
-FAULT_CONFIGS = {
-    "honest": CORRECT,
-    "byzantine": Config(4, 1, CORRECT.replica_ids, byzantine_ids=frozenset({"T"})),
-    "faulty-client": Config(4, 1, CORRECT.replica_ids, faulty_client_ids=frozenset({"c1"})),
-    "both": BYZ,
-}
 KEY_SEARCH_DEPTH = 4
 KEY_WALKS = 6
 KEY_WALK_DEPTH = 10
+
+
+def _reference_json(state):
+    """The dict a node state's JSON form was built from before its text
+    was assembled from kept texts."""
+    if isinstance(state, ClientState):
+        return {
+            "id": state.id,
+            "requests": {
+                cid: {
+                    "target": req.target,
+                    "phase": req.phase,
+                    "timer_armed": req.timer_armed,
+                    "replies": {s: payload_to_json(r) for s, r in req.replies.items()},
+                    "commit_replies": {
+                        s: payload_to_json(r) for s, r in req.commit_replies.items()
+                    },
+                }
+                for cid, req in state.requests.items()
+            },
+            "received": [payload_to_json(r) for r in state.received],
+        }
+    return {
+        "id": state.id,
+        "next_slot": state.next_slot,
+        "log": {
+            str(i): {
+                "tuple": rec.tuple.to_json(),
+                "owner_number": rec.owner_number,
+                "status": rec.status,
+                "certificate": certificate_to_json(rec.certificate) if rec.certificate else None,
+            }
+            for i, rec in state.log.items()
+        },
+        "sent_replies": {str(i): payload_to_json(r) for i, r in state.sent_replies.items()},
+        "owner_numbers": {str(i): n for i, n in state.owner_numbers.items()},
+        "votes": {
+            f"{i}@{n}": {s: payload_to_json(v) for s, v in votes.items()}
+            for (i, n), votes in state.votes.items()
+        },
+        "decisions": {f"{i}@{n}": d.to_json() for (i, n), d in state.decisions.items()},
+        "voted": sorted(f"{i}@{n}" for i, n in state.voted),
+        "executed": [list(e) for e in state.executed],
+        "kv": {k: list(v) for k, v in state.kv.items()},
+    }
 
 
 def _reference_projection(sim):
@@ -248,7 +291,7 @@ def _reference_projection(sim):
     canonical JSON of every pending message without id or hop."""
     parts = []
     for node, state in (*sim.replicas.items(), *sim.clients.items()):
-        data = state.to_json()
+        data = _reference_json(state)
         if node in sim.clients:
             data["received"] = sorted(canonical_json(r) for r in data["received"])
         elif node in sim.cfg.byzantine_ids:
@@ -336,3 +379,65 @@ def test_fingerprints_are_equal_exactly_when_reference_projections_are(monkeypat
         assert by_reference.setdefault(reference, key) == key
     # Not vacuous: some states are met twice, and many are distinct.
     assert 100 < len(by_key) < len(states)
+
+
+def _check_state_texts(sim):
+    """Every node's JSON text and node digest against its reference dict."""
+    digests = sim.node_digests()
+    for node, state in (*sim.replicas.items(), *sim.clients.items()):
+        reference = _reference_json(state)
+        assert state.to_json() == canonical_json(reference), node
+        assert digests[node] == digest(reference), node
+    return len(digests)
+
+
+TEXT_CASES = {
+    **{name: (config, _two_commands(config, "T")) for name, config in FAULT_CONFIGS.items()},
+    "escaped-ids": WALK_CASES[2][:2],
+}
+
+
+def test_state_texts_of_the_goldens_equal_their_reference_dicts():
+    checked = 0
+    for name in SCENARIO_NAMES:
+        schedule = Schedule.from_json(json.loads(golden_text(name, "schedule")))
+        sim = Sim(schedule.config, schedule.workload, True, schedule.seq_mode)
+        checked += _check_state_texts(sim)
+        for event in schedule.events:
+            sim.apply(event)
+            checked += _check_state_texts(sim)
+    assert checked > 300
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_CASES))
+def test_state_texts_of_seeded_walks_equal_their_reference_dicts(name):
+    """Walks on one memo, each step checked, then the tail one delivery at
+    a time, then the rest of the tail."""
+    config, workload = TEXT_CASES[name]
+    bounds = ExploreBounds(workload=workload, max_events=KEY_WALK_DEPTH)
+    memo = TransitionMemo()
+    for seed in range(KEY_WALKS):
+        rng = random.Random(seed)
+        sim = Sim(config, workload, memo=memo)
+        acted = frozenset()
+        _check_state_texts(sim)
+        for _step in range(KEY_WALK_DEPTH):
+            children = []
+            for move in enabled_moves(sim, bounds, acted):
+                child = sim.clone()
+                try:
+                    child.apply(move)
+                except ScheduleError:
+                    continue
+                children.append((move, child))
+            if not children:
+                break
+            move, sim = rng.choice(children)
+            if move.kind == ADVERSARY and move.node in config.faulty_client_ids:
+                acted = acted | {move.node}
+            _check_state_texts(sim)
+        while sim.pending():
+            sim.apply(Event(DELIVER, message=sim.pending()[0].id))
+            _check_state_texts(sim)
+        extend_with_tail(sim, bounds)
+        _check_state_texts(sim)

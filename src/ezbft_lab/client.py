@@ -63,16 +63,16 @@ class PendingRequest:
 
 @dataclass
 class ClientState:
-    """One client's local state. Like ``ReplicaState`` it carries its part
-    of the search ``key``, its trace ``digest`` and its field ``texts``,
-    filled on first use; ``clone()`` hands ``texts`` on."""
+    """One client's local state. Like ``ReplicaState`` it carries its
+    64-bit part of the search ``key``, its trace ``digest`` and its field
+    ``texts``, filled on first use; ``clone()`` hands ``texts`` on."""
 
     id: str
     requests: dict[str, PendingRequest] = field(default_factory=dict)
     # Every spec reply ever delivered to this client, in arrival order.
     # This is the ground truth for what a faulty client may package.
     received: list[SpecReply] = field(default_factory=list)
-    key: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    key: int | None = field(default=None, init=False, compare=False, repr=False)
     digest: str | None = field(default=None, init=False, compare=False, repr=False)
     texts: dict[str, tuple[Any, str]] | None = field(
         default=None, init=False, compare=False, repr=False

@@ -56,6 +56,8 @@ from .simnet import (
     Sim,
     TransitionMemo,
     WorkItem,
+    check_workload_clients,
+    node_key,
     run,
 )
 
@@ -495,10 +497,14 @@ def minimize(
 
 
 def _state_key(sim: Sim, acted: frozenset[str]) -> int:
-    """The 64-bit hash of a state's fingerprint and the faulty clients that
-    acted on it. ``seen`` holds these fixed-size fingerprints, as TLC does,
-    because exact keys would keep every pending multiset alive."""
-    return hash((sim.fingerprint(), acted))
+    """The 64-bit hash of a state's node keys, its pending pool's multiset
+    hash and the faulty clients that acted on it. Node keys are cached on
+    installed states and the pool hash is kept up to date by each event,
+    so a key costs what the last event changed. ``seen`` holds these
+    fixed-size keys, as TLC does, because exact keys would keep every
+    pending multiset alive."""
+    nodes = (*sim.replicas.values(), *sim.clients.values())
+    return hash((*map(node_key, nodes), sim.pending_hash(), acted))
 
 
 def explore(
@@ -513,8 +519,8 @@ def explore(
     search stops early once every requested property has a finding; it
     reports exhausted=True only when the full bounded space was covered.
     Raises ValueError for an unknown property, an empty workload, a faulty
-    client without a workload item or a workload target that is not a
-    replica."""
+    client without a workload item, a workload target that is not a
+    replica or a workload client whose id is a replica's."""
     start = time.monotonic()
     requested = (
         tuple(p for p in CHECKER_ORDER if p in set(properties))
@@ -536,6 +542,7 @@ def explore(
     lost = sorted({item.target for item in bounds.workload} - set(config.replica_ids))
     if lost:
         raise ValueError(f"workload targets that are not replicas: {', '.join(lost)}")
+    check_workload_clients(config, bounds.workload)
     cheap = tuple(p for p in requested if p != LIVENESS)
     found: dict[str, tuple[ViolationReport, Schedule]] = {}
 
@@ -587,11 +594,12 @@ def explore(
         for move in reversed(moves):
             child = sim.clone()
             try:
-                rec = child.apply(move)
+                child.apply(move)
             except ScheduleError:
                 continue
             path = events + (move,)
-            if cheap and any(eff.get("type") == "commit" for eff in rec["effects"]):
+            # Each commit effect adds one commit-log entry.
+            if cheap and len(child.commit_log) > len(sim.commit_log):
                 reports, _notes = run_checkers(Observations.from_sim(child), cheap)
                 for report in reports:
                     record(

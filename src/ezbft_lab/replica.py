@@ -69,7 +69,8 @@ class ReplicaState:
     ``value()`` is the state's one identity: the transition memo
     hash-conses states by it and the search's state key is built from it.
     A Sim never changes a state once it installed it, so the state carries
-    its derived forms: ``key`` (its part of the search key), ``digest``
+    its derived forms: ``key`` (its 64-bit part of the search key, see
+    ``simnet.node_key``), ``digest``
     (the trace digest) and ``texts`` (the JSON text of each field, see
     ``core.state_json``), filled on first use. None is a constructor
     option or part of ``value()``; ``clone()`` hands ``texts`` on."""
@@ -92,7 +93,7 @@ class ReplicaState:
     kv: dict[str, tuple[str, ...]] = field(default_factory=dict)
     inbox: tuple[tuple[str, Any], ...] = ()
     consumed: frozenset[int] = frozenset()
-    key: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    key: int | None = field(default=None, init=False, compare=False, repr=False)
     digest: str | None = field(default=None, init=False, compare=False, repr=False)
     texts: dict[str, tuple[Any, str]] | None = field(
         default=None, init=False, compare=False, repr=False

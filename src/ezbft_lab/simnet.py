@@ -178,6 +178,7 @@ class Schedule:
             tail_start, count = schedule.tail_start, len(schedule.events)
             if tail_start is not None and not 0 <= tail_start <= count:
                 raise ValueError(f"tail_start {tail_start} is outside the {count} events")
+            check_workload_clients(schedule.config, schedule.workload)
             return schedule
 
     def write(self, path: str) -> None:
@@ -188,6 +189,14 @@ class Schedule:
     def read(path: str) -> "Schedule":
         with open(path, "r", encoding="utf-8") as fh:
             return Schedule.from_json(json.load(fh))
+
+
+def check_workload_clients(config: Config, workload: Iterable[WorkItem]) -> None:
+    """Raise ValueError when a workload client's id is a replica's: one id
+    cannot name two nodes."""
+    clash = sorted({item.client for item in workload} & set(config.replica_ids))
+    if clash:
+        raise ValueError(f"workload clients that are replica ids: {', '.join(clash)}")
 
 
 @dataclass
@@ -269,13 +278,15 @@ def _check_record(record: Any) -> None:
 
 class _Step(NamedTuple):
     """One memoized handler step: the canonical state it ran on, the
-    object its key names by identity, and what it produced."""
+    object its key names by identity, what it produced, and the commit and
+    selection effects among its effects, which ``Sim._log_event`` logs."""
 
     before: Any
     keep: Any
     after: Any
     outputs: tuple[tuple[str, Any], ...]
     effects: tuple[dict[str, Any], ...]
+    logged: tuple[dict[str, Any], ...]
 
 
 class TransitionMemo:
@@ -283,45 +294,82 @@ class TransitionMemo:
 
     Node states and the payloads steps emit are hash-consed: a state's
     ``value()`` (or a payload itself) maps to one canonical object, so
-    equal values share that object and the derived forms it carries.
-    ``value()`` ignores dict order, so states that differ only in the
-    order their dicts were filled share one object and one set of steps. No
-    Sim changes an installed state, so no canonical state ever changes. A
-    step is keyed by the identity of its canonical input state plus the
-    event's input: sender and payload identity for a delivery, the
-    instance for an owner-change trigger, the command for a timeout. It
-    stores the canonical result state, the canonical payloads to emit and
-    the effects. Handlers also read the configuration, so a memo serves
-    the Sims of one configuration.
+    equal values share that object and the derived forms it carries, the
+    node key (``node_key``) among them. ``value()`` ignores dict order, so
+    states that differ only in the order their dicts were filled share one
+    object and one set of steps. No Sim changes an installed state, so no canonical
+    state ever changes. A step is keyed by the identity of its canonical
+    input state plus the event's input: sender and payload identity for a
+    delivery, the instance for an owner-change trigger, the command for a
+    timeout. It stores the canonical result state, the canonical payloads
+    to emit and the effects. Handlers also read the configuration, so a
+    memo serves the Sims of one configuration.
 
     Each entry holds the objects its key names by identity, so no identity
     is reused while the entry exists. Identities stand for values, so
-    clearing is always safe: the memo starts over once it holds
-    ``MEMO_CAP`` steps. Starting over replaces the step table, so callers
-    go through ``lookup`` and ``store`` and keep no reference to it.
-    ``Sim._step`` looks a step up once per event, and computes and stores
-    it on a miss.
+    forgetting an entry is always safe. The memo keeps two generations of
+    states, payloads and steps. Once the young generation holds
+    ``MEMO_CAP`` steps it becomes the old one, the previous old one is
+    dropped, and a fresh young one starts, so the memo holds at most
+    2 x ``MEMO_CAP`` steps. ``lookup``, ``canonical`` and payload
+    interning consult the old generation after the young one and promote
+    what they find into the young one, so what a search keeps using
+    survives the start-over. Callers go through ``lookup`` and ``store``
+    and keep no reference to the tables. ``Sim._step`` looks a step up
+    once per event, and computes and stores it on a miss.
     """
 
     def __init__(self) -> None:
         self.computed = 0
         self.reused = 0
-        self._clear()
-
-    def _clear(self) -> None:
         self._states: dict[tuple, Any] = {}
         self._payloads: dict[Any, Any] = {}
         self._steps: dict[tuple[int, tuple], _Step] = {}
+        self._old_states: dict[tuple, Any] = {}
+        self._old_payloads: dict[Any, Any] = {}
+        self._old_steps: dict[tuple[int, tuple], _Step] = {}
+
+    def _new_generation(self) -> None:
+        """Make the young generation the old one and start a fresh one."""
+        self._old_states, self._old_payloads, self._old_steps = (
+            self._states, self._payloads, self._steps,
+        )
+        self._states, self._payloads, self._steps = {}, {}, {}
+
+    def _keep(self, entry: tuple[int, tuple], step: _Step) -> None:
+        """Put a step into the young generation, starting a new one first
+        when it is full."""
+        if len(self._steps) >= MEMO_CAP:
+            self._new_generation()
+        self._steps[entry] = step
 
     def canonical(self, state: Any) -> Any:
         """The canonical object equal to ``state``."""
-        return self._states.setdefault(state.value(), state)
+        value = state.value()
+        found = self._states.get(value)
+        if found is None:
+            found = self._old_states.get(value, state)
+            self._states[value] = found
+        return found
+
+    def _intern(self, payload: Any) -> Any:
+        """The canonical object equal to a payload a step emits."""
+        found = self._payloads.get(payload)
+        if found is None:
+            found = self._old_payloads.get(payload, payload)
+            self._payloads[found] = found
+        return found
 
     def lookup(self, state: Any, key: tuple) -> _Step | None:
         """The stored step for a canonical state and an event input."""
-        step = self._steps.get((id(state), key))
-        if step is not None:
-            self.reused += 1
+        entry = (id(state), key)
+        step = self._steps.get(entry)
+        if step is None:
+            step = self._old_steps.get(entry)
+            if step is None:
+                return None
+            self._keep(entry, step)
+        self.reused += 1
         return step
 
     def store(
@@ -333,18 +381,16 @@ class TransitionMemo:
         outputs: list[tuple[str, Any]],
         effects: list[dict[str, Any]],
     ) -> _Step:
-        """Record a computed step, starting over first when full."""
-        if len(self._steps) >= MEMO_CAP:
-            self._clear()
-        payloads = self._payloads
+        """Record a computed step."""
         step = _Step(
             before,
             keep,
             self.canonical(after),
-            tuple((recipient, payloads.setdefault(p, p)) for recipient, p in outputs),
+            tuple((recipient, self._intern(p)) for recipient, p in outputs),
             tuple(effects),
+            _logged(effects),
         )
-        self._steps[(id(before), key)] = step
+        self._keep((id(before), key), step)
         self.computed += 1
         return step
 
@@ -359,9 +405,13 @@ class Sim:
     event that changes a node installs a new object, either a private copy
     the handler changed or the memo's canonical result. A byzantine
     replica's inbox and consumed set are part of its state. Installed
-    objects can therefore be shared freely, and each carries its own part
-    of the search key and its trace digest, so fingerprints and trace
-    digests are computed only for what an event installed.
+    objects can therefore be shared freely, and each carries its node key
+    and its trace digest, so both are computed only for what an event
+    installed. The pending pool's part of the search key is a multiset hash
+    (``pending_hash``). Once asked for, it is kept up to date: ``_emit``
+    adds and a delivery in ``apply`` subtracts each envelope's element
+    hash. A ``drain`` drops it, to be recomputed when next asked for, so a
+    tail, and a replay, which never asks, pay nothing for it.
 
     Every delivery, from ``apply`` or ``drain``, goes through
     ``_receive``, and every other event through ``apply``. The node's
@@ -388,8 +438,11 @@ class Sim:
         self.seq_mode = seq_mode
         self.replicas: dict[str, ReplicaState] = {r: ReplicaState(r) for r in cfg.replica_ids}
         self.clients: dict[str, ClientState] = {}
-        # Undelivered envelopes in emission order.
+        # Undelivered envelopes in emission order, and the sum mod 2**64 of
+        # their element hashes, kept from the first ``pending_hash`` call
+        # on (None until then, and again after a drain).
         self._pending: dict[str, Envelope] = {}
+        self._pending_hash: int | None = None
         self.counters: dict[str, int] = {}
         self.seq_no = 0
         self.tail_start: int | None = None
@@ -421,6 +474,7 @@ class Sim:
         twin.replicas = dict(self.replicas)
         twin.clients = dict(self.clients)
         twin._pending = dict(self._pending)
+        twin._pending_hash = self._pending_hash
         twin.counters = dict(self.counters)
         twin.seq_no = self.seq_no
         twin.tail_start = self.tail_start
@@ -443,17 +497,31 @@ class Sim:
         """Put ``sender``'s ``(recipient, payload)`` outputs into the
         pending pool as envelopes at ``hop``, with ids from its counter."""
         emitted = []
+        total = self._pending_hash
         for recipient, payload in outputs:
             count = self.counters.get(sender, 0)
             self.counters[sender] = count + 1
             env = Envelope(f"{sender}#{count}", sender, recipient, payload, hop)
             self._pending[env.id] = env
             emitted.append(env)
+            if total is not None:
+                total += _element_hash(sender, recipient, payload)
+        if total is not None:
+            self._pending_hash = total & _MASK
         return emitted
 
     def pending(self) -> list[Envelope]:
         """Produced-but-undelivered envelopes, in emission order."""
         return list(self._pending.values())
+
+    def pending_hash(self) -> int:
+        """The pending pool as a multiset hash: the sum mod 2**64 of every
+        pending envelope's element hash, ignoring ids, hops and order.
+        Computed from scratch on the first call, then kept by each event."""
+        total = self._pending_hash
+        if total is None:
+            total = self._pending_hash = pool_hash(self._pending.values())
+        return total
 
     def drain(self, note: str = "") -> list[Event]:
         """Deliver the oldest pending message until none remain; returns
@@ -465,18 +533,20 @@ class Sim:
         plain ``(id, sender, recipient, payload, hop)`` tuples, with the
         ids, hops and order ``apply`` would give them. A traced Sim records
         each delivery through ``_record``. Whatever an error leaves
-        undelivered goes back to the pending pool."""
+        undelivered goes back to the pending pool, whose hash is then
+        recomputed on demand."""
         applied: list[Event] = []
         counters = self.counters
         traced = self.record_trace
         fifo: deque[tuple[str, str, str, Any, int]] = deque(self._pending.values())
         self._pending = {}
+        self._pending_hash = None
         try:
             for _ in range(DRAIN_CAP):
                 if not fifo:
                     return applied
                 env_id, sender, node, payload, hop = fifo.popleft()
-                outputs, effects = self._receive(env_id, sender, node, payload)
+                outputs, effects, logged = self._receive(env_id, sender, node, payload)
                 if outputs:
                     count = counters.get(node, 0)
                     counters[node] = count + len(outputs)
@@ -488,9 +558,12 @@ class Sim:
                 event = Event(DELIVER, env_id, None, None, None, None, None, None, note)
                 if traced:
                     emitted = [Envelope(*fifo[i]) for i in range(-len(outputs), 0)]
-                    self._record(event, emitted, effects)
+                    self._record(event, emitted, effects, logged)
+                elif logged:
+                    self._log_event(logged)
                 else:
-                    self._log_event(effects)
+                    # Most tail steps log nothing and only advance seq_no.
+                    self.seq_no += 1
                 applied.append(event)
         finally:
             self._pending = {m[0]: Envelope(*m) for m in fifo}
@@ -503,16 +576,18 @@ class Sim:
         keep: Any,
         handler: Callable[..., tuple[list[tuple[str, Any]], list[dict[str, Any]]]],
         *args: Any,
-    ) -> tuple[Outputs, Effects]:
+    ) -> tuple[Outputs, Effects, Effects]:
         """Run correct ``node``'s ``handler(state, *args)`` and return its
-        outputs and effects. Without a memo the handler changes a private
-        copy of the state. With one, the step is looked up once under the
-        canonical state and the event input ``key`` (``keep`` is an object
-        the key names by identity), computed on a copy and stored on a
-        miss, and its canonical result state is installed."""
+        outputs, effects and the effects to log. Without a memo the handler
+        changes a private copy of the state. With one, the step is looked
+        up once under the canonical state and the event input ``key``
+        (``keep`` is an object the key names by identity), computed on a
+        copy and stored on a miss, and its canonical result state is
+        installed."""
         memo = self._memo
         if memo is None:
-            return handler(self._own(node), *args)
+            outputs, effects = handler(self._own(node), *args)
+            return outputs, effects, _logged(effects)
         nodes: dict[str, Any] = self.clients if node in self.clients else self.replicas
         before = nodes[node]
         step = memo.lookup(before, key)
@@ -521,19 +596,19 @@ class Sim:
             outputs, effects = handler(after, *args)
             step = memo.store(before, key, keep, after, outputs, effects)
         nodes[node] = step.after
-        return step.outputs, step.effects
+        return step.outputs, step.effects, step.logged
 
     def _receive(
         self, env_id: str, sender: str, node: str, payload: Any
-    ) -> tuple[Outputs, Effects]:
+    ) -> tuple[Outputs, Effects, Effects]:
         """Hand a message taken from the pool to its recipient and return
-        the recipient's outputs and effects, emitting nothing; every
-        delivery rule lives here."""
+        the recipient's outputs, effects and effects to log, emitting
+        nothing; every delivery rule lives here."""
         cfg = self.cfg
         if node in cfg.byzantine_ids:
             state = self._own(node)
             state.inbox += ((sender, payload),)
-            return [], [{"type": "inbox", "node": node, "from": sender, "kind": payload.kind}]
+            return [], [{"type": "inbox", "node": node, "from": sender, "kind": payload.kind}], ()
 
         if node in cfg.replica_ids:
             try:
@@ -551,13 +626,13 @@ class Sim:
                     client_mod.record_reply(state, payload)
                 elif isinstance(payload, CommitReply):
                     client_mod.record_commit_reply(state, payload)
-                return [], [{"type": "recorded", "node": node, "kind": payload.kind}]
+                return [], [{"type": "recorded", "node": node, "kind": payload.kind}], ()
             if isinstance(payload, SpecReply):
                 handler = client_mod.on_spec_reply
             elif isinstance(payload, CommitReply):
                 handler = client_mod.on_commit_reply
             else:
-                return [], [{"type": "drop", "node": node, "reason": "unexpected_payload"}]
+                return [], [{"type": "drop", "node": node, "reason": "unexpected_payload"}], ()
             return self._step(node, (sender, id(payload)), payload, handler, cfg, payload)
 
         raise ScheduleError(f"message {env_id!r} addressed to unknown node {node!r}")
@@ -575,27 +650,35 @@ class Sim:
                 raise ScheduleError(
                     f"message {event.message!r} is not pending (unknown or already delivered)"
                 )
+            if self._pending_hash is not None:
+                self._pending_hash = (
+                    self._pending_hash - _element_hash(env.sender, env.recipient, env.payload)
+                ) & _MASK
             node, hop = env.recipient, env.hop + 1
-            outputs, effects = self._receive(env.id, env.sender, node, env.payload)
+            outputs, effects, logged = self._receive(env.id, env.sender, node, env.payload)
         elif kind == TIMEOUT:
             node = event.client
-            outputs, effects = self._apply_timeout(event)
+            outputs, effects, logged = self._apply_timeout(event)
         elif kind == TRIGGER_OWNER_CHANGE:
             node = event.replica
-            outputs, effects = self._apply_trigger(event)
+            outputs, effects, logged = self._apply_trigger(event)
         elif kind == ADVERSARY:
             node = event.node
             outputs, effects = self._apply_adversary(event)
+            logged = _logged(effects)
         else:
             raise ScheduleError(f"unknown event kind {kind!r}")
-        return self._record(event, self._emit(node, outputs, hop), effects)
+        return self._record(event, self._emit(node, outputs, hop), effects, logged)
 
-    def _record(self, event: Event, emitted: list[Envelope], effects: Effects) -> dict[str, Any]:
-        """Log an event's effects and return its record, which carries the
-        trace fields (and is retained) only when tracing is on."""
+    def _record(
+        self, event: Event, emitted: list[Envelope], effects: Effects, logged: Effects
+    ) -> dict[str, Any]:
+        """Log an event's commit and selection effects, ``logged``, and
+        return its record, which carries the trace fields (and is
+        retained) only when tracing is on."""
         effects = list(effects)
         seq_no = self.seq_no
-        self._log_event(effects)
+        self._log_event(logged)
         if self.record_trace:
             record = {
                 "seq_no": seq_no,
@@ -610,17 +693,16 @@ class Sim:
             record = {"seq_no": seq_no, "kind": event.kind, "effects": effects}
         return record
 
-    def _log_event(self, effects: Effects) -> None:
-        """Log an event's commit and selection effects at its seq number,
-        then advance ``seq_no``."""
-        for eff in effects:
-            if eff.get("type") == "commit":
-                self.commit_log.append({**eff, "seq_no": self.seq_no})
-            elif eff.get("type") == "selection":
-                self.selection_log.append({**eff, "seq_no": self.seq_no})
-        self.seq_no += 1
+    def _log_event(self, logged: Effects) -> None:
+        """Log an event's commit and selection effects (see ``_logged``) at
+        its seq number, then advance ``seq_no``."""
+        seq_no = self.seq_no
+        for eff in logged:
+            log = self.commit_log if eff["type"] == "commit" else self.selection_log
+            log.append({**eff, "seq_no": seq_no})
+        self.seq_no = seq_no + 1
 
-    def _apply_timeout(self, event: Event) -> tuple[Outputs, Effects]:
+    def _apply_timeout(self, event: Event) -> tuple[Outputs, Effects, Effects]:
         if event.client not in self.clients:
             raise ScheduleError(f"timeout for unknown client {event.client!r}")
         if event.client in self.cfg.faulty_client_ids:
@@ -630,7 +712,7 @@ class Sim:
             client_mod.on_timeout, self.cfg, event.command, self.seq_mode,
         )
 
-    def _apply_trigger(self, event: Event) -> tuple[Outputs, Effects]:
+    def _apply_trigger(self, event: Event) -> tuple[Outputs, Effects, Effects]:
         if event.replica not in self.cfg.replica_ids:
             raise ScheduleError(f"owner-change trigger for unknown replica {event.replica!r}")
         if event.replica in self.cfg.byzantine_ids:
@@ -682,36 +764,56 @@ class Sim:
             digests[node] = state.digest
         return digests
 
-    def fingerprint(self) -> tuple:
-        """Identity of this state for search deduplication, as an exact
-        value: every node's ``value()`` and the pending pool as a multiset
-        of ``(sender, recipient, payload)``, without envelope ids or hops.
 
-        Arrival orders that cannot influence future behavior are made
-        multisets too, so that commuting delivery interleavings collapse to
-        one search state: a client's received replies and a byzantine
-        replica's inbox of ``(sender, payload, consumed)``. Each node's part
-        is cached on its state in ``key``.
-        """
-        parts = tuple(map(_key, (*self.replicas.values(), *self.clients.values())))
-        return parts, _multiset(env[1:4] for env in self._pending.values())
+# -- search key and logged effects ---------------------------------------
+
+_MASK = (1 << 64) - 1
+# Effect types that ``Sim._log_event`` logs.
+_LOGGED_TYPES = ("commit", "selection")
 
 
-def _key(state: Any) -> tuple:
-    """One node's part of the fingerprint, cached on its state: its
-    ``value()`` with the arrival-ordered part it ends with made a multiset."""
+def _logged(effects: Effects) -> tuple[dict[str, Any], ...]:
+    """The commit and selection effects among an event's effects."""
+    return tuple(eff for eff in effects if eff.get("type") in _LOGGED_TYPES)
+
+
+def _element_hash(sender: str, recipient: str, payload: Any) -> int:
+    """One pending envelope's part of the pool hash: splitmix64's finalizer
+    applied to the Python hash of ``(sender, recipient, payload)``. A sum of
+    raw Python hashes is not a sound multiset hash: tuple hashes are nearly
+    additive in their last item, so two pools that swap payloads between
+    two recipients can sum alike. The finalizer spreads every input bit
+    over all 64 output bits."""
+    x = (hash((sender, recipient, payload)) + 0x9E3779B97F4A7C15) & _MASK
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+    return x ^ (x >> 31)
+
+
+def pool_hash(envelopes: Iterable[Envelope]) -> int:
+    """The multiset hash of a pending pool, computed from scratch."""
+    total = sum(_element_hash(env.sender, env.recipient, env.payload) for env in envelopes)
+    return total & _MASK
+
+
+def node_key(state: Any) -> int:
+    """One node's part of the search key, cached on its state in ``key``:
+    the hash of its ``value()`` with the arrival-ordered part made a
+    multiset, so that commuting delivery orders give one key. That part is
+    a client's received replies, or a byzantine replica's inbox of
+    ``(sender, payload, consumed)``. It is computed on first use: most
+    canonical states a search makes are tail states that are never keyed."""
     if state.key is None:
         value = state.value()
         if isinstance(state, ClientState):
             # value() ends with the received replies.
-            state.key = value[:-1] + (_multiset(state.received),)
+            value = value[:-1] + (_multiset(state.received),)
         elif state.inbox:
             # value() ends with the inbox and the consumed indices.
             consumed = state.consumed
             inbox = _multiset((s, p, i in consumed) for i, (s, p) in enumerate(state.inbox))
-            state.key = value[:-2] + (inbox,)
-        else:
-            state.key = value
+            value = value[:-2] + (inbox,)
+        state.key = hash(value)
     return state.key
 
 

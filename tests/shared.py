@@ -1,5 +1,9 @@
-"""Configs and the two-command workload that several test modules share."""
+"""Configs, the two-command workload, the fixed searches and the
+reference fingerprint that several test modules share."""
 
+from collections import Counter
+
+from ezbft_lab.client import ClientState
 from ezbft_lab.core import Command, Config
 from ezbft_lab.simnet import WorkItem
 
@@ -26,3 +30,49 @@ def two_commands(second_target):
         WorkItem("c1", Command("a", "c1", "k", "va"), "R"),
         WorkItem("c2", Command("b", "c2", "k", "vb"), second_target),
     )
+
+
+# Fixed searches (BENCH_5.json): config, second target, max_events,
+# properties (None for all), then states visited, deduped and terminals
+# checked, transitions computed and reused, found properties, exhausted.
+FIXED_SEARCHES = {
+    "honest-Q-5": (
+        CORRECT, "Q", 5, ("agreement", "validity", "liveness"),
+        (837, 1086, 606, 1357, 21575, (), True),
+    ),
+    "honest-T-5-all": (
+        CORRECT, "T", 5, None,
+        (837, 1086, 606, 1398, 21534, ("dependency_inclusion", "execution_consistency"), True),
+    ),
+    "crit6-byz": (
+        BYZ, "T", 14, ("agreement", "liveness"),
+        (15, 0, 1, 13, 36, ("agreement", "liveness"), False),
+    ),
+    "honest-Q-7-exec": (
+        CORRECT, "Q", 7, ("execution_consistency",),
+        (362, 324, 302, 426, 12680, ("execution_consistency",), False),
+    ),
+}
+
+
+def _multiset(items):
+    return frozenset(Counter(items).items())
+
+
+def reference_fingerprint(sim):
+    """A state's search identity as an exact value, the form the 64-bit
+    state key compacts: every node's ``value()`` and the pending pool as a
+    multiset of ``(sender, recipient, payload)``, without envelope ids or
+    hops. A client's received replies and a byzantine replica's inbox of
+    ``(sender, payload, consumed)`` are multisets too."""
+    parts = []
+    for state in (*sim.replicas.values(), *sim.clients.values()):
+        value = state.value()
+        if isinstance(state, ClientState):
+            value = value[:-1] + (_multiset(state.received),)
+        elif state.inbox:
+            consumed = state.consumed
+            inbox = _multiset((s, p, i in consumed) for i, (s, p) in enumerate(state.inbox))
+            value = value[:-2] + (inbox,)
+        parts.append(value)
+    return tuple(parts), _multiset(env[1:4] for env in sim.pending())

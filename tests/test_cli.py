@@ -240,6 +240,18 @@ def test_an_instance_owned_by_no_replica_is_named(tmp_path, capsys, event):
     assert capsys.readouterr().err == "error: instance Z.0 is owned by 'Z', not a replica\n"
 
 
+def test_a_workload_client_named_like_a_replica_is_an_error(tmp_path, capsys):
+    """Its requests would reach a replica's handlers as a client's state."""
+    data = build_scenario("safety").schedule.to_json()
+    data["workload"][1]["client"] = "R"
+    schedule = tmp_path / "bad.schedule.json"
+    schedule.write_text(json.dumps(data))
+    assert main(["replay", str(schedule)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: malformed schedule: workload clients that are replica ids: R\n"
+    assert captured.out == ""
+
+
 def test_check_of_a_malformed_trace_is_an_error(tmp_path, capsys):
     good = build_scenario("liveness").trace.serialize().splitlines()
     trace = tmp_path / "bad.trace.jsonl"

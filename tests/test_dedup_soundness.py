@@ -47,9 +47,9 @@ def test_dedup_keeps_agreement_validity_and_liveness_findings(
     strict=True,
     reason=(
         "dedup is unsound for the ordering properties: four prefixes reach one "
-        "fingerprint with no commits, and only the one that delivers c2#0 first "
+        "state key with no commits, and only the one that delivers c2#0 first "
         "violates, because the synchronous tail drains pending messages in "
-        "emission order and the fingerprint sorts that order away"
+        "emission order and the state key sorts that order away"
     ),
 )
 def test_dedup_keeps_ordering_findings(monkeypatch):

@@ -26,7 +26,7 @@ from ezbft_lab.explorer import (
 from ezbft_lab.scenarios import build_scenario
 from ezbft_lab.simnet import DELIVER, Event, Schedule, Sim, WorkItem, run
 
-from shared import BYZ, CORRECT, two_commands
+from shared import BYZ, CORRECT, FIXED_SEARCHES, two_commands
 
 
 def _workload(*items):
@@ -70,6 +70,14 @@ def test_explore_rejects_faulty_clients_without_a_workload_item(faulty):
 def test_explore_rejects_workload_targets_that_are_not_replicas():
     workload = _workload(("c1", Command("a", "c1", "k", "va"), "c2"))
     with pytest.raises(ValueError, match="not replicas: c2"):
+        explore(CORRECT, ExploreBounds(workload=workload, max_events=2))
+
+
+def test_explore_rejects_workload_clients_that_are_replica_ids():
+    workload = _workload(
+        ("c1", Command("a", "c1", "k", "va"), "R"), ("L", Command("b", "L", "k", "vb"), "Q")
+    )
+    with pytest.raises(ValueError, match="workload clients that are replica ids: L"):
         explore(CORRECT, ExploreBounds(workload=workload, max_events=2))
 
 
@@ -161,26 +169,13 @@ def test_search_outcome_does_not_depend_on_the_hash_seed():
     ]
 
 
-# Fixed searches (BENCH_5.json): config, second target, max_events,
-# properties (None for all), then states visited, deduped and terminals
-# checked, transitions computed and reused, found properties, exhausted.
-FIXED_SEARCHES = {
-    "honest-Q-5": (
-        CORRECT, "Q", 5, ("agreement", "validity", "liveness"),
-        (837, 1086, 606, 2010, 20922, (), True),
-    ),
-    "honest-T-5-all": (
-        CORRECT, "T", 5, None,
-        (837, 1086, 606, 2039, 20893, ("dependency_inclusion", "execution_consistency"), True),
-    ),
-    "crit6-byz": (
-        BYZ, "T", 14, ("agreement", "liveness"),
-        (15, 0, 1, 13, 36, ("agreement", "liveness"), False),
-    ),
-    "honest-Q-7-exec": (
-        CORRECT, "Q", 7, ("execution_consistency",),
-        (362, 324, 302, 426, 12680, ("execution_consistency",), False),
-    ),
+# Handler steps each fixed search looks up in its memo, computed or
+# reused: the memo's policy decides the split, never the total.
+STEPS_LOOKED_UP = {
+    "honest-Q-5": 22932,
+    "honest-T-5-all": 22932,
+    "crit6-byz": 49,
+    "honest-Q-7-exec": 13106,
 }
 
 
@@ -201,6 +196,7 @@ def test_fixed_search_counters_and_findings(name):
         result.found_properties(),
         result.exhausted,
     ) == expected
+    assert result.transitions_computed + result.transitions_reused == STEPS_LOOKED_UP[name]
 
 
 def test_explore_early_stop_reports_not_exhausted():

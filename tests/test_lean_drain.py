@@ -49,13 +49,13 @@ WALK_DEPTH = 10
 def resets(monkeypatch):
     """A one-item list counting ``TransitionMemo`` start-overs."""
     count = [0]
-    clear = TransitionMemo._clear
+    new_generation = TransitionMemo._new_generation
 
     def counting(memo):
         count[0] += 1
-        clear(memo)
+        new_generation(memo)
 
-    monkeypatch.setattr(TransitionMemo, "_clear", counting)
+    monkeypatch.setattr(TransitionMemo, "_new_generation", counting)
     return count
 
 

@@ -40,6 +40,7 @@ def _uncached_view(sim, acted):
         i: env._replace(payload=dataclasses.replace(env.payload))
         for i, env in twin._pending.items()
     }
+    twin._pending_hash = None
     return _view(twin, acted)
 
 

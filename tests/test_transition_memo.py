@@ -3,11 +3,13 @@
 Seeded random walks drive a Sim that carries a TransitionMemo and a plain
 Sim through the same events, the synchronous tail included. After every
 event the two must agree on node digests, pending envelopes (ids, hops and
-payloads), fingerprint, commit and selection logs and the event's
-effects. At every step each enabled move is also applied to a clone of the
-memo Sim, as the search does: that must leave the parent unchanged, and no
-step the memo ever stored may change afterwards, not even after the memo
-started over. A search looks each step up in the memo exactly once.
+payloads), reference fingerprint, state key, commit and selection logs and
+the event's effects. At every step each enabled move is also applied to a
+clone of the memo Sim, as the search does: that must leave the parent
+unchanged, and no step the memo ever stored may change afterwards, not
+even after the memo started over. The memo holds at most two generations
+of ``MEMO_CAP`` steps and reuses steps of its old generation. A search
+looks each step up in the memo exactly once.
 """
 
 import random
@@ -16,10 +18,16 @@ import pytest
 
 from ezbft_lab import simnet
 from ezbft_lab.core import canonical_json
-from ezbft_lab.explorer import ExploreBounds, enabled_moves, explore, extend_with_tail
+from ezbft_lab.explorer import (
+    ExploreBounds,
+    _state_key,
+    enabled_moves,
+    explore,
+    extend_with_tail,
+)
 from ezbft_lab.simnet import ADVERSARY, MEMO_CAP, ScheduleError, Sim, TransitionMemo
 
-from shared import BYZ, CORRECT, two_commands
+from shared import BYZ, CORRECT, reference_fingerprint, two_commands
 
 WALKS = 20
 DEPTH = 12
@@ -29,7 +37,8 @@ def _view(sim):
     return (
         sim.node_digests(),
         sim.pending(),
-        sim.fingerprint(),
+        reference_fingerprint(sim),
+        _state_key(sim, frozenset()),
         list(sim.commit_log),
         list(sim.selection_log),
     )
@@ -46,9 +55,10 @@ def _fixed(step):
 
 
 def _collect(memo, stored):
-    for step in memo._steps.values():
-        if id(step) not in stored:
-            stored[id(step)] = (step, _fixed(step))
+    for steps in (memo._old_steps, memo._steps):
+        for step in steps.values():
+            if id(step) not in stored:
+                stored[id(step)] = (step, _fixed(step))
 
 
 @pytest.mark.parametrize("cap", [MEMO_CAP, 8], ids=["default-cap", "tiny-cap"])
@@ -57,6 +67,17 @@ def _collect(memo, stored):
 )
 def test_memo_sim_matches_a_plain_sim_in_lockstep(monkeypatch, config, second_target, cap):
     monkeypatch.setattr(simnet, "MEMO_CAP", cap)
+    old_hits = [0]
+    lookup = TransitionMemo.lookup
+
+    def counting(memo, state, key):
+        entry = (id(state), key)
+        from_old = entry not in memo._steps and entry in memo._old_steps
+        step = lookup(memo, state, key)
+        old_hits[0] += from_old and step is not None
+        return step
+
+    monkeypatch.setattr(TransitionMemo, "lookup", counting)
     workload = two_commands(second_target)
     bounds = ExploreBounds(workload=workload, max_events=DEPTH)
     memo = TransitionMemo()
@@ -97,8 +118,10 @@ def test_memo_sim_matches_a_plain_sim_in_lockstep(monkeypatch, config, second_ta
             assert _fixed(step) == fixed
     assert memo.reused > 0 and memo.computed > 0
     assert len(memo._steps) <= cap
+    assert len(memo._steps) + len(memo._old_steps) <= 2 * cap
     if cap < MEMO_CAP:
         assert len(stored) > cap, "the memo never started over"
+        assert old_hits[0] > 0, "no step of the old generation was reused"
 
 
 def test_search_reports_reused_transitions():

@@ -9,10 +9,11 @@ pending messages hashes like a freshly built equal copy and like the
 tuple of its fields. A walk on replica and client ids holding quotes,
 backslashes and non-ASCII characters covers odd ids.
 
-The search key must also identify states exactly as the canonical-JSON
-projection it replaced did: over every state of small searches and
-seeded walks in four fault configs, two fingerprints are equal exactly
-when the reference projections are.
+The reference fingerprint, the exact value the search key compacts, must
+also identify states exactly as the canonical-JSON projection it replaced
+did: over every state of small searches and seeded walks in four fault
+configs, two fingerprints are equal exactly when the reference
+projections are.
 
 A node state's JSON text is assembled from texts kept on its frozen
 values and on its parent state; over every state of the goldens and of
@@ -60,7 +61,7 @@ from ezbft_lab.simnet import (
     WorkItem,
 )
 
-from shared import BYZ, CORRECT, FAULT_CONFIGS
+from shared import BYZ, CORRECT, FAULT_CONFIGS, reference_fingerprint
 
 ESCAPED = Config(4, 1, ('R"', "Lé", "Q\\", "T☃"))
 CACHED_HASH = (
@@ -313,7 +314,7 @@ def _reference_projection(sim):
 
 
 def _key_and_reference(sim):
-    return sim.fingerprint(), _reference_projection(sim)
+    return reference_fingerprint(sim), _reference_projection(sim)
 
 
 def _search_states(monkeypatch, config, workload):

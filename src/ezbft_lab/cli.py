@@ -72,6 +72,9 @@ def _build_workload(
         raise ValueError("--commands must be at least 1")
     if count > len(_COMMAND_NAMES):
         raise ValueError(f"at most {len(_COMMAND_NAMES)} commands supported")
+    # A target beyond the last command would be dropped without a word.
+    if len(targets) > count:
+        raise ValueError(f"--targets names {len(targets)} replicas for {count} commands")
     byz = sorted(cfg.byzantine_ids)
     items = []
     for i in range(count):

@@ -5,17 +5,18 @@ message deliveries, client timeouts, owner-change triggers, and adversary
 branch points up to a depth bound, deduplicating states by a hash of
 their value so commuting orders collapse. Every terminal state is completed
 with a deterministic synchronous tail (deliver everything, let owner
-changes finish) and checked; commit points are additionally checked
-mid-run. Each finding comes back as a machine-checkable report paired
-with a schedule minimized by greedy event elision that replays to the
-same report.
+changes finish) that keeps only its effects, and checked; commit points
+are additionally checked mid-run. Each finding comes back as a
+machine-checkable report paired with a schedule minimized by greedy event
+elision that replays to the same report; a terminal's tail events are
+rebuilt, by replaying its path, only for a finding.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from .adversary import (
     BYZ_ARBITRARY_VOTE,
@@ -402,39 +403,62 @@ def enabled_moves(sim: Sim, bounds: ExploreBounds, acted: frozenset[str]) -> lis
 # -- synchronous tail -----------------------------------------------------
 
 
-def extend_with_tail(sim: Sim, bounds: ExploreBounds) -> list[Event]:
+def _tail_round(sim: Sim, bounds: ExploreBounds) -> Iterator[tuple[str, InstanceId]]:
+    """One tail round's owner-change triggers ``(replica, instance)``: for
+    each instance a correct replica speculated on and none found
+    conflicted, every replica that may still trigger it. Each instance's
+    replicas are read after the triggers before it were applied."""
+    correct = sim.cfg.correct_replicas()
+    speculated = {
+        inst
+        for rid in correct
+        for inst, rec in sim.replicas[rid].log.items()
+        if rec.status == SPECULATED
+    }
+    # A trigger only records and sends a vote; decisions change when
+    # votes are delivered, so one scan per round sees every conflict.
+    conflicted = {
+        inst
+        for rid in correct
+        for (inst, _n), sel in sim.replicas[rid].decisions.items()
+        if sel.outcome == CONFLICT
+    }
+    for inst in sorted(speculated - conflicted, key=str):
+        for rid in _trigger_targets(sim, bounds, inst):
+            yield rid, inst
+
+
+def extend_with_tail(
+    sim: Sim, bounds: ExploreBounds, *, events: bool = True
+) -> list[Event] | range:
     """Deterministic eventual-synchrony completion, applied in place:
     deliver every pending message, then repeatedly trigger owner changes
     (within the per-instance cap, skipping instances already stuck on a
     conflict) and deliver again until quiescent. Marks the tail start for
-    liveness assessment and returns the events applied."""
-    cfg = sim.cfg
+    liveness assessment and returns the events applied.
+
+    With ``events=False`` the tail keeps only its effects (``Sim.settle``):
+    the same steps in the same order, the same logs and seq numbers, but no
+    events, envelope ids or records, and the Sim is not to be extended
+    afterwards. It returns the seq numbers its steps took, one per event
+    the full tail would return. A traced Sim raises ValueError."""
     if sim.tail_start is None:
         sim.tail_start = sim.seq_no
+    if not events:
+        start = sim.seq_no
+        sim.settle()
+        for _round in range(DRAIN_CAP):
+            if not sim.settle(_tail_round(sim, bounds)):
+                return range(start, sim.seq_no)
+        raise ExploreError("synchronous tail did not quiesce")
     applied = sim.drain("tail")
-    correct = cfg.correct_replicas()
     for _round in range(DRAIN_CAP):
         fired = False
-        speculated = {
-            inst
-            for rid in correct
-            for inst, rec in sim.replicas[rid].log.items()
-            if rec.status == SPECULATED
-        }
-        # A trigger only records and sends a vote; decisions change when
-        # votes are delivered, so one scan per round sees every conflict.
-        conflicted = {
-            inst
-            for rid in correct
-            for (inst, _n), sel in sim.replicas[rid].decisions.items()
-            if sel.outcome == CONFLICT
-        }
-        for inst in sorted(speculated - conflicted, key=str):
-            for rid in _trigger_targets(sim, bounds, inst):
-                event = Event(TRIGGER_OWNER_CHANGE, replica=rid, instance=inst, note="tail")
-                sim.apply(event)
-                applied.append(event)
-                fired = True
+        for rid, inst in _tail_round(sim, bounds):
+            event = Event(TRIGGER_OWNER_CHANGE, replica=rid, instance=inst, note="tail")
+            sim.apply(event)
+            applied.append(event)
+            fired = True
         if not fired:
             return applied
         applied += sim.drain("tail")
@@ -575,19 +599,17 @@ def explore(
 
         if not moves:
             terminals += 1
-            tail_events = extend_with_tail(sim, bounds)
+            extend_with_tail(sim, bounds, events=False)
             reports, _notes = run_checkers(Observations.from_sim(sim), requested)
-            for report in reports:
-                record(
-                    Schedule(
-                        config,
-                        bounds.workload,
-                        events + tuple(tail_events),
-                        tail_start=len(events),
-                        seq_mode=seq_mode,
-                    ),
-                    report,
-                )
+            fresh = [report for report in reports if report.property not in found]
+            if fresh:
+                # Rebuild the tail's events only for a new finding, by
+                # replaying the path without the memo.
+                schedule = Schedule(config, bounds.workload, events, seq_mode=seq_mode)
+                tail = extend_with_tail(run(schedule, record_trace=False)[0], bounds)
+                schedule = replace(schedule, events=events + tuple(tail), tail_start=len(events))
+                for report in fresh:
+                    record(schedule, report)
             continue
 
         depth = len(events) + 1

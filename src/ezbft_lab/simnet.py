@@ -413,10 +413,11 @@ class Sim:
     hash. A ``drain`` drops it, to be recomputed when next asked for, so a
     tail, and a replay, which never asks, pay nothing for it.
 
-    Every delivery, from ``apply`` or ``drain``, goes through
-    ``_receive``, and every other event through ``apply``. The node's
-    outputs come back unemitted: ``apply`` emits them into the pending
-    pool and ``drain`` queues them on its FIFO. A Sim built with a
+    Every delivery, from ``apply``, ``drain`` or ``settle``, goes through
+    ``_receive``, and every other event through ``apply``, except that
+    ``settle`` runs owner-change triggers through the step ``apply`` uses.
+    The node's outputs come back unemitted: ``apply`` emits them into the
+    pending pool, and ``drain`` and ``settle`` queue them on a FIFO. A Sim built with a
     ``TransitionMemo`` (and every clone of it) keeps each correct node's
     state canonical and looks each of its handler steps up in the memo
     once; a hit installs the stored result state and returns the stored
@@ -569,6 +570,54 @@ class Sim:
             self._pending = {m[0]: Envelope(*m) for m in fifo}
         raise ScheduleError(f"drain did not quiesce within {DRAIN_CAP} deliveries")
 
+    def settle(self, triggers: Iterable[tuple[str, InstanceId]] = ()) -> int:
+        """Apply each owner-change trigger ``(replica, instance)``, then
+        deliver every message until none remain; returns the number of
+        triggers applied. Deliveries and triggers take the steps, order and
+        seq numbers that ``apply`` and ``drain`` give them: the pending
+        envelopes in emission order, then the triggers' outputs, each
+        delivery's outputs queued behind. Each trigger is taken from
+        ``triggers`` after the one before it was applied, and goes through
+        the step ``apply`` uses; each delivery goes through ``_receive``.
+
+        Only effects are kept: the commit and selection logs and
+        ``seq_no``. No envelope id, event, record, counter or pool hash is
+        built, and outputs are queued as the ``(sender, outputs)`` batch the
+        step returned. Counters are therefore stale afterwards, so a settled
+        Sim is only read, never extended. A traced Sim records every event,
+        so it raises ValueError. Raises ScheduleError when ``DRAIN_CAP``
+        deliveries leave messages pending."""
+        if self.record_trace:
+            raise ValueError("a traced Sim records every event; settle records none")
+        fifo: deque[tuple[str, Outputs]] = deque(
+            (env.sender, ((env.recipient, env.payload),)) for env in self._pending.values()
+        )
+        self._pending = {}
+        self._pending_hash = None
+        fired = 0
+        for replica, instance in triggers:
+            outputs, _effects, logged = self._apply_trigger(replica, instance)
+            self._log_event(logged)
+            if outputs:
+                fifo.append((replica, outputs))
+            fired += 1
+        receive = self._receive
+        left = DRAIN_CAP
+        while fifo:
+            sender, batch = fifo.popleft()
+            for node, payload in batch:
+                if not left:
+                    raise ScheduleError(f"drain did not quiesce within {DRAIN_CAP} deliveries")
+                left -= 1
+                outputs, _effects, logged = receive(None, sender, node, payload)
+                if outputs:
+                    fifo.append((node, outputs))
+                if logged:
+                    self._log_event(logged)
+                else:
+                    self.seq_no += 1
+        return fired
+
     def _step(
         self,
         node: str,
@@ -588,7 +637,7 @@ class Sim:
         if memo is None:
             outputs, effects = handler(self._own(node), *args)
             return outputs, effects, _logged(effects)
-        nodes: dict[str, Any] = self.clients if node in self.clients else self.replicas
+        nodes: dict[str, Any] = self.replicas if node in self.replicas else self.clients
         before = nodes[node]
         step = memo.lookup(before, key)
         if step is None:
@@ -596,28 +645,32 @@ class Sim:
             outputs, effects = handler(after, *args)
             step = memo.store(before, key, keep, after, outputs, effects)
         nodes[node] = step.after
-        return step.outputs, step.effects, step.logged
+        # Its last three fields: outputs, effects and logged effects.
+        return step[3:]
 
     def _receive(
-        self, env_id: str, sender: str, node: str, payload: Any
+        self, env_id: str | None, sender: str, node: str, payload: Any
     ) -> tuple[Outputs, Effects, Effects]:
         """Hand a message taken from the pool to its recipient and return
         the recipient's outputs, effects and effects to log, emitting
-        nothing; every delivery rule lives here."""
+        nothing; every delivery rule lives here. ``env_id`` only names the
+        message in errors; ``settle`` delivers without one."""
         cfg = self.cfg
         if node in cfg.byzantine_ids:
             state = self._own(node)
             state.inbox += ((sender, payload),)
             return [], [{"type": "inbox", "node": node, "from": sender, "kind": payload.kind}], ()
 
-        if node in cfg.replica_ids:
+        if node in self.replicas:
             try:
                 return self._step(
                     node, (sender, id(payload)), payload,
                     adversary_mod.honest_step, cfg, sender, payload,
                 )
             except adversary_mod.BadChoice as exc:
-                raise ScheduleError(f"message {env_id!r} cannot be delivered: {exc}") from exc
+                raise ScheduleError(
+                    f"{_message_name(env_id, sender, node)} cannot be delivered: {exc}"
+                ) from exc
 
         if node in self.clients:
             if node in cfg.faulty_client_ids:
@@ -635,7 +688,9 @@ class Sim:
                 return [], [{"type": "drop", "node": node, "reason": "unexpected_payload"}], ()
             return self._step(node, (sender, id(payload)), payload, handler, cfg, payload)
 
-        raise ScheduleError(f"message {env_id!r} addressed to unknown node {node!r}")
+        raise ScheduleError(
+            f"{_message_name(env_id, sender, node)} addressed to unknown node {node!r}"
+        )
 
     # -- event application ----------------------------------------------
 
@@ -661,7 +716,7 @@ class Sim:
             outputs, effects, logged = self._apply_timeout(event)
         elif kind == TRIGGER_OWNER_CHANGE:
             node = event.replica
-            outputs, effects, logged = self._apply_trigger(event)
+            outputs, effects, logged = self._apply_trigger(event.replica, event.instance)
         elif kind == ADVERSARY:
             node = event.node
             outputs, effects = self._apply_adversary(event)
@@ -712,17 +767,19 @@ class Sim:
             client_mod.on_timeout, self.cfg, event.command, self.seq_mode,
         )
 
-    def _apply_trigger(self, event: Event) -> tuple[Outputs, Effects, Effects]:
-        if event.replica not in self.cfg.replica_ids:
-            raise ScheduleError(f"owner-change trigger for unknown replica {event.replica!r}")
-        if event.replica in self.cfg.byzantine_ids:
+    def _apply_trigger(
+        self, replica: str | None, instance: InstanceId | None
+    ) -> tuple[Outputs, Effects, Effects]:
+        if replica not in self.cfg.replica_ids:
+            raise ScheduleError(f"owner-change trigger for unknown replica {replica!r}")
+        if replica in self.cfg.byzantine_ids:
             raise ScheduleError("owner-change triggers apply to correct replicas only")
-        if event.instance is None:
+        if instance is None:
             raise ScheduleError("owner-change trigger names no instance")
-        self._check_instance(event.instance)
+        self._check_instance(instance)
         return self._step(
-            event.replica, (TRIGGER_OWNER_CHANGE, event.instance), None,
-            owner_change.make_vote, self.cfg, event.instance,
+            replica, (TRIGGER_OWNER_CHANGE, instance), None,
+            owner_change.make_vote, self.cfg, instance,
         )
 
     def _apply_adversary(self, event: Event) -> tuple[Outputs, Effects]:
@@ -775,6 +832,13 @@ _LOGGED_TYPES = ("commit", "selection")
 def _logged(effects: Effects) -> tuple[dict[str, Any], ...]:
     """The commit and selection effects among an event's effects."""
     return tuple(eff for eff in effects if eff.get("type") in _LOGGED_TYPES)
+
+
+def _message_name(env_id: str | None, sender: str, node: str) -> str:
+    """A message as errors name it: by its envelope id when it has one."""
+    if env_id is None:
+        return f"a message from {sender!r} to {node!r}"
+    return f"message {env_id!r}"
 
 
 def _element_hash(sender: str, recipient: str, payload: Any) -> int:

@@ -135,6 +135,7 @@ def test_explore_cut_short_with_a_finding_exits_two(tmp_path, capsys):
         (["--faulty-clients", "R"], "faulty clients without a workload item: R"),
         (["--max-states", "-5"], "max_states must be nonnegative"),
         (["--targets", "Z"], "workload targets that are not replicas: Z"),
+        (["--targets", "R,L,Q"], "--targets names 3 replicas for 2 commands"),
     ],
 )
 def test_explore_input_that_would_give_a_vacuous_verdict_is_an_error(capsys, args, message):

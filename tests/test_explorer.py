@@ -5,6 +5,7 @@ divergence) live in the acceptance suite; these tests pin the fast cases
 and the minimizer's contract.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 
 import ezbft_lab
 from ezbft_lab.checkers import Observations, run_checkers
-from ezbft_lab.core import Command, Config
+from ezbft_lab.core import Command, Config, canonical_json
 from ezbft_lab.explorer import (
     ExploreBounds,
     ExploreError,
@@ -131,7 +132,7 @@ def test_explore_is_deterministic():
 
 _SEARCH_IN_A_FRESH_PROCESS = """
 import json
-from ezbft_lab.core import Command, Config
+from ezbft_lab.core import Command, Config, canonical_json
 from ezbft_lab.explorer import ExploreBounds, explore
 from ezbft_lab.simnet import WorkItem
 
@@ -197,6 +198,27 @@ def test_fixed_search_counters_and_findings(name):
         result.exhausted,
     ) == expected
     assert result.transitions_computed + result.transitions_reused == STEPS_LOOKED_UP[name]
+
+
+# sha256 of the canonical JSON of each finding search's violations: every
+# minimized schedule and report, in the order the search returns them.
+# A terminal's tail events are rebuilt by replay only for a new finding,
+# so these pin that the rebuilt schedules and their reports never drift.
+FINDINGS_SHA256 = {
+    "honest-T-5-all": "ef8822cca6deefdb2d67c7b1fbc72fa2db3c53422161a18c6d35faafbeb7d222",
+    "honest-Q-7-exec": "fb561063098fe8a8f542e0f96e62cb0c974744876dadec7433739426135791fd",
+    "crit6-byz": "7e93791fa4b6d2986500b7202509b27da7837ac024ec63b9cbb0d7e3656acaa3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINDINGS_SHA256))
+def test_fixed_search_findings_are_pinned(name):
+    config, target, max_events, properties, _expected = FIXED_SEARCHES[name]
+    result = explore(
+        config, ExploreBounds(workload=two_commands(target), max_events=max_events), properties
+    )
+    text = canonical_json(result.to_json()["violations"])
+    assert hashlib.sha256(text.encode()).hexdigest() == FINDINGS_SHA256[name]
 
 
 def test_explore_early_stop_reports_not_exhausted():

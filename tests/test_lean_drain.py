@@ -4,21 +4,25 @@
 ``Sim.drain`` moves the pending envelopes into a FIFO once and delivers
 from there, traced or not. The reference is independent of that loop: it
 delivers the oldest pending envelope through ``Sim.apply``, one event at a
-time, and records every event. The tail runs three times from one state:
+time, and records every event. The tail runs four times from one state:
 through an untraced ``drain``, through a traced ``drain`` and through the
-reference drain; ``extend_with_tail`` applies the owner-change triggers
-through ``Sim.apply`` in all three. All three must choose the same events
-and end in the same node states (byzantine inboxes and consumed sets
-included), counters, seq number, logs, an empty pending pool and the
-same checker reports, and the traced ``drain`` must build exactly the
+reference drain, with ``extend_with_tail`` applying the owner-change
+triggers through ``Sim.apply`` in all three, and as the effects-only tail
+(``extend_with_tail(..., events=False)``, which runs ``Sim.settle``) that
+``explore`` runs at every terminal. All four must end in the same node
+states (byzantine inboxes and consumed sets included), seq number, tail
+start, logs, an empty pending pool and the same checker reports, and must
+make the same memo lookups. The three event-building tails must also
+choose the same events and counters, the effects-only tail must return one
+seq number per event, and the traced ``drain`` must build exactly the
 reference's trace records. The comparison runs on every terminal of small
 searches and after every step of seeded walks, with and without a
 transition memo, over four fault configs.
 
-With a shared memo all three must also end on the very same canonical
-node objects, unless the memo started over between their tails: its
-identities stand for values, so after a start-over equal values may be
-held by two objects.
+With a shared memo all four must also end on the very same canonical
+node objects and look up the very same states, unless the memo started
+over between their tails: its identities stand for values, so after a
+start-over equal values may be held by two objects.
 """
 
 import random
@@ -59,6 +63,21 @@ def resets(monkeypatch):
     return count
 
 
+@pytest.fixture
+def lookups(monkeypatch):
+    """Every ``TransitionMemo.lookup`` call, as a ``(state, key)`` pair.
+    Holding the states keeps their identities from being reused."""
+    calls = []
+    lookup = TransitionMemo.lookup
+
+    def recording(memo, state, key):
+        calls.append((state, key))
+        return lookup(memo, state, key)
+
+    monkeypatch.setattr(TransitionMemo, "lookup", recording)
+    return calls
+
+
 def _without_memo(sim):
     """A twin of a memo Sim that delivers without the memo."""
     twin = sim.clone()
@@ -74,13 +93,12 @@ def _canonical_nodes(sim):
     return [node for node in (*sim.replicas, *sim.clients) if node not in faulty]
 
 
-def _outcome(sim, events):
+def _effects(sim):
+    """What every tail, the effects-only one included, leaves behind."""
     reports, notes = run_checkers(Observations.from_sim(sim))
     return {
-        "events": events,
         "replicas": {node: state.value() for node, state in sim.replicas.items()},
         "clients": {node: state.value() for node, state in sim.clients.items()},
-        "counters": sim.counters,
         "seq_no": sim.seq_no,
         "tail_start": sim.tail_start,
         "commit_log": sim.commit_log,
@@ -89,6 +107,11 @@ def _outcome(sim, events):
         "reports": [report.to_json() for report in reports],
         "notes": notes,
     }
+
+
+def _outcome(sim, events):
+    """What an event-building tail leaves behind."""
+    return {"events": events, "counters": sim.counters, **_effects(sim)}
 
 
 def _reference_drain(sim, note=""):
@@ -112,59 +135,85 @@ def _reference(sim):
     return twin
 
 
-def _assert_tail_matches_apply(sim, bounds, lean_first, resets):
-    """Run the tail on an untraced twin, a traced twin and the reference
-    twin of ``sim``. ``lean_first`` picks the order, so that with a shared
-    memo each side also meets steps the memo does not hold yet. ``resets``
-    is the start-over counter of the ``resets`` fixture."""
-    lean, traced, reference = sim.clone(), sim.clone(), _reference(sim)
+def _lookup_ids(calls, shared):
+    """Memo lookups as comparable values: by identity while the memo kept
+    its objects, else by the looked-up state's value and the key's head
+    (the sender, or the event kind), since payload identities may differ."""
+    if shared:
+        return [(id(state), key) for state, key in calls]
+    return [(state.value(), key[0]) for state, key in calls]
+
+
+def _assert_tail_matches_apply(sim, bounds, lean_first, resets, lookups):
+    """Run the tail on an untraced twin, a traced twin, the reference twin
+    and an effects-only twin of ``sim``. ``lean_first`` picks the order, so
+    that with a shared memo each side also meets steps the memo does not
+    hold yet. ``resets`` and ``lookups`` are the fixtures of those names."""
+    lean, traced, reference, settled = sim.clone(), sim.clone(), _reference(sim), sim.clone()
     traced.record_trace = True
-    twins = (lean, traced, reference)
-    tails = {}
+    twins = (lean, traced, reference, settled)
+    tails, looked_up = {}, {}
     before = resets[0]
+    lookups.clear()
     for twin in twins if lean_first else twins[::-1]:
-        tails[id(twin)] = extend_with_tail(twin, bounds)
+        start = len(lookups)
+        tails[id(twin)] = extend_with_tail(twin, bounds, events=twin is not settled)
+        looked_up[id(twin)] = lookups[start:]
     lean_events = tails[id(lean)]
     expected = _outcome(reference, tails[id(reference)])
     assert _outcome(lean, lean_events) == expected
     assert _outcome(traced, tails[id(traced)]) == expected
-    assert lean._pending == {} and lean.records == []
+    assert _effects(settled) == _effects(reference)
+    assert lean._pending == {} and lean.records == [] and settled.records == []
     assert traced.records == reference.records
-    assert len(reference.records) == len(lean_events)
+    assert len(reference.records) == len(lean_events) == len(tails[id(settled)])
+    assert tails[id(settled)] == range(sim.seq_no, settled.seq_no)
     shared = resets[0] == before
     for node in _canonical_nodes(lean):
         mine = lean.clients if node in lean.clients else lean.replicas
-        for other in (traced, reference):
+        for other in (traced, reference, settled):
             theirs = other.clients if node in other.clients else other.replicas
             if shared:
                 assert mine[node] is theirs[node], node
             else:
                 assert mine[node].value() == theirs[node].value(), node
+    expected_lookups = _lookup_ids(looked_up[id(lean)], shared)
+    # One lookup per step of a correct node.
+    assert len(expected_lookups) <= (0 if sim._memo is None else len(lean_events))
+    for twin in twins:
+        assert _lookup_ids(looked_up[id(twin)], shared) == expected_lookups
+    lookups.clear()
     return lean_events
 
 
 @pytest.mark.parametrize("name", sorted(FAULT_CONFIGS))
-def test_every_search_terminal_tail_matches_apply(monkeypatch, resets, name):
+def test_every_search_terminal_tail_matches_apply(monkeypatch, resets, lookups, name):
     config = FAULT_CONFIGS[name]
     bounds = ExploreBounds(workload=two_commands("T"), max_events=SEARCH_DEPTH)
-    checked = [0]
+    checked, rebuilt = [0], [0]
 
-    def checking_tail(sim, tail_bounds):
+    def checking_tail(sim, tail_bounds, *, events=True):
+        if events:
+            # A new finding's tail, rebuilt on a memo-free replay of its path.
+            assert sim._memo is None and sim.tail_start is None
+            rebuilt[0] += 1
+            return extend_with_tail(sim, tail_bounds)
         for twin in (sim, _without_memo(sim)):
             _assert_tail_matches_apply(
-                twin, tail_bounds, lean_first=checked[0] % 2 == 0, resets=resets
+                twin, tail_bounds, lean_first=checked[0] % 2 == 0, resets=resets, lookups=lookups
             )
         checked[0] += 1
-        return extend_with_tail(sim, tail_bounds)
+        return extend_with_tail(sim, tail_bounds, events=False)
 
     monkeypatch.setattr(explorer, "extend_with_tail", checking_tail)
     result = explore(config, bounds)
     assert result.terminals_checked == checked[0] > 0
+    assert rebuilt[0] <= len(result.violations)
 
 
 @pytest.mark.parametrize("memo", [True, False], ids=["memo", "plain"])
 @pytest.mark.parametrize("name", sorted(FAULT_CONFIGS))
-def test_seeded_walk_tails_match_apply(resets, name, memo):
+def test_seeded_walk_tails_match_apply(resets, lookups, name, memo):
     config = FAULT_CONFIGS[name]
     workload = two_commands("T")
     bounds = ExploreBounds(workload=workload, max_events=WALK_DEPTH)
@@ -176,7 +225,7 @@ def test_seeded_walk_tails_match_apply(resets, name, memo):
         acted: frozenset[str] = frozenset()
         for step in range(WALK_DEPTH):
             tail = _assert_tail_matches_apply(
-                sim, bounds, lean_first=(seed + step) % 2 == 0, resets=resets
+                sim, bounds, lean_first=(seed + step) % 2 == 0, resets=resets, lookups=lookups
             )
             kinds.update(event.kind for event in tail)
             children = []
@@ -199,7 +248,7 @@ def test_seeded_walk_tails_match_apply(resets, name, memo):
 def test_a_drain_cut_short_leaves_the_rest_pending(monkeypatch, memo):
     monkeypatch.setattr(simnet, "DRAIN_CAP", 3)
     sim = Sim(FAULT_CONFIGS["honest"], two_commands("Q"), memo=TransitionMemo() if memo else None)
-    traced, reference = sim.clone(), _reference(sim)
+    traced, reference, settled = sim.clone(), _reference(sim), sim.clone()
     traced.record_trace = True
     for twin in (sim, traced, reference):
         with pytest.raises(ScheduleError, match="did not quiesce"):
@@ -207,3 +256,16 @@ def test_a_drain_cut_short_leaves_the_rest_pending(monkeypatch, memo):
     assert sim.pending() == traced.pending() == reference.pending()
     assert traced.records == reference.records
     assert len(sim.pending()) > 0 and sim.seq_no == traced.seq_no == reference.seq_no == 3
+    # The effects-only drain stops at the same cap and seq number.
+    with pytest.raises(ScheduleError, match="did not quiesce"):
+        settled.settle()
+    assert settled.seq_no == 3 and settled.commit_log == sim.commit_log
+
+
+def test_an_effects_only_tail_refuses_a_traced_sim():
+    workload = two_commands("Q")
+    sim = Sim(FAULT_CONFIGS["honest"], workload, record_trace=True)
+    bounds = ExploreBounds(workload=workload, max_events=SEARCH_DEPTH)
+    with pytest.raises(ValueError, match="traced Sim"):
+        extend_with_tail(sim, bounds, events=False)
+    assert len(sim.pending()) == 2 and sim.seq_no == 0 and sim.records == []

@@ -326,8 +326,8 @@ def _search_states(monkeypatch, config, workload):
         states.append(_key_and_reference(sim))
         return state_key(sim, acted)
 
-    def recording_tail(sim, bounds):
-        events = tail(sim, bounds)
+    def recording_tail(sim, bounds, **options):
+        events = tail(sim, bounds, **options)
         states.append(_key_and_reference(sim))
         return events
 

@@ -67,7 +67,7 @@ def _build_workload(
     """One command per client c1..cN, all on one key. Default targets: the
     first command goes to the first replica; the second goes to the first
     byzantine replica when one exists (so its request can be swallowed),
-    else to the third replica; later ones round-robin."""
+    else to the third replica; later ones round-robin, two replicas apart."""
     if count < 1:
         raise ValueError("--commands must be at least 1")
     if count > len(_COMMAND_NAMES):
@@ -249,7 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_explore.add_argument(
         "--targets",
         default="",
-        help="comma-separated target replica per command (default: see --help text)",
+        help=(
+            "comma-separated target replica per command (default: the first command to "
+            "the first replica, the second to the first byzantine replica or else the "
+            "third replica, later ones round-robin, two replicas apart)"
+        ),
     )
     p_explore.add_argument(
         "--max-owner-changes",

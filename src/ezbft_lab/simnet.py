@@ -410,18 +410,19 @@ class Sim:
     installed. The pending pool's part of the search key is a multiset hash
     (``pending_hash``). Once asked for, it is kept up to date: ``_emit``
     adds and a delivery in ``apply`` subtracts each envelope's element
-    hash. A ``drain`` drops it, to be recomputed when next asked for, so a
-    tail, and a replay, which never asks, pay nothing for it.
+    hash. A ``settle`` drops it, so an effects-only tail pays nothing for
+    it.
 
-    Every delivery, from ``apply``, ``drain`` or ``settle``, goes through
-    ``_receive``, and every other event through ``apply``, except that
-    ``settle`` runs owner-change triggers through the step ``apply`` uses.
-    The node's outputs come back unemitted: ``apply`` emits them into the
-    pending pool, and ``drain`` and ``settle`` queue them on a FIFO. A Sim built with a
-    ``TransitionMemo`` (and every clone of it) keeps each correct node's
-    state canonical and looks each of its handler steps up in the memo
-    once; a hit installs the stored result state and returns the stored
-    outputs and effects, so envelope ids, hops, logs and effects are
+    A Sim delivers messages two ways. ``apply`` builds the event, emits
+    the node's outputs into the pending pool and is the reference; a
+    ``drain`` is a loop of ``apply`` deliveries. ``settle`` keeps only
+    effects and queues outputs on a FIFO; it is the search's fast path.
+    Every delivery goes through ``_receive``, and ``settle`` runs
+    owner-change triggers through the step ``apply`` uses. A Sim built
+    with a ``TransitionMemo`` (and every clone of it) keeps each correct
+    node's state canonical and looks each of its handler steps up in the
+    memo once; a hit installs the stored result state and returns the
+    stored outputs and effects, so envelope ids, hops, logs and effects are
     those of a direct run.
     """
 
@@ -441,7 +442,7 @@ class Sim:
         self.clients: dict[str, ClientState] = {}
         # Undelivered envelopes in emission order, and the sum mod 2**64 of
         # their element hashes, kept from the first ``pending_hash`` call
-        # on (None until then, and again after a drain).
+        # on (None until then, and again after a settle).
         self._pending: dict[str, Envelope] = {}
         self._pending_hash: int | None = None
         self.counters: dict[str, int] = {}
@@ -525,49 +526,16 @@ class Sim:
         return total
 
     def drain(self, note: str = "") -> list[Event]:
-        """Deliver the oldest pending message until none remain; returns
-        the events applied, each carrying ``note``. Raises ScheduleError
-        when ``DRAIN_CAP`` deliveries leave messages pending.
-
-        The pending envelopes move into a FIFO once, at the start. Each
-        delivery goes through ``_receive`` and its outputs are queued as
-        plain ``(id, sender, recipient, payload, hop)`` tuples, with the
-        ids, hops and order ``apply`` would give them. A traced Sim records
-        each delivery through ``_record``. Whatever an error leaves
-        undelivered goes back to the pending pool, whose hash is then
-        recomputed on demand."""
+        """Deliver the oldest pending message through ``apply`` until none
+        remain; returns the events applied, each carrying ``note``. Raises
+        ScheduleError when ``DRAIN_CAP`` deliveries leave messages pending."""
         applied: list[Event] = []
-        counters = self.counters
-        traced = self.record_trace
-        fifo: deque[tuple[str, str, str, Any, int]] = deque(self._pending.values())
-        self._pending = {}
-        self._pending_hash = None
-        try:
-            for _ in range(DRAIN_CAP):
-                if not fifo:
-                    return applied
-                env_id, sender, node, payload, hop = fifo.popleft()
-                outputs, effects, logged = self._receive(env_id, sender, node, payload)
-                if outputs:
-                    count = counters.get(node, 0)
-                    counters[node] = count + len(outputs)
-                    for recipient, out in outputs:
-                        fifo.append((f"{node}#{count}", node, recipient, out, hop + 1))
-                        count += 1
-                # Positional: a NamedTuple built from keywords costs
-                # noticeably more per tail event.
-                event = Event(DELIVER, env_id, None, None, None, None, None, None, note)
-                if traced:
-                    emitted = [Envelope(*fifo[i]) for i in range(-len(outputs), 0)]
-                    self._record(event, emitted, effects, logged)
-                elif logged:
-                    self._log_event(logged)
-                else:
-                    # Most tail steps log nothing and only advance seq_no.
-                    self.seq_no += 1
-                applied.append(event)
-        finally:
-            self._pending = {m[0]: Envelope(*m) for m in fifo}
+        for _ in range(DRAIN_CAP):
+            if not self._pending:
+                return applied
+            event = Event(DELIVER, message=next(iter(self._pending)), note=note)
+            self.apply(event)
+            applied.append(event)
         raise ScheduleError(f"drain did not quiesce within {DRAIN_CAP} deliveries")
 
     def settle(self, triggers: Iterable[tuple[str, InstanceId]] = ()) -> int:

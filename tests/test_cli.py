@@ -156,6 +156,16 @@ def test_help_exits_zero(capsys):
     assert "scenario" in capsys.readouterr().out
 
 
+def test_explore_help_states_the_default_targets(capsys):
+    assert main(["explore", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "see --help" not in text
+    assert (
+        "the first command to the first replica, the second to the first byzantine "
+        "replica or else the third replica, later ones round-robin, two replicas apart"
+    ) in text
+
+
 @pytest.mark.parametrize(
     "content, field",
     [({"config": {"n": 4}}, "'f'"), ([1, 2], "list")],

@@ -1,25 +1,23 @@
-"""The synchronous tail must match delivering one event at a time through
-``Sim.apply``.
+"""The effects-only tail must match the event-building tail.
 
-``Sim.drain`` moves the pending envelopes into a FIFO once and delivers
-from there, traced or not. The reference is independent of that loop: it
-delivers the oldest pending envelope through ``Sim.apply``, one event at a
-time, and records every event. The tail runs four times from one state:
-through an untraced ``drain``, through a traced ``drain`` and through the
-reference drain, with ``extend_with_tail`` applying the owner-change
-triggers through ``Sim.apply`` in all three, and as the effects-only tail
+``Sim.drain`` delivers the oldest pending message through ``Sim.apply``,
+one event at a time, traced or not, so the event-building tail
+(``extend_with_tail``) is the reference. ``Sim.settle`` is the search's
+fast path: it delivers from a FIFO of output batches and keeps only
+effects. The tail runs three times from one state: through an untraced
+and a traced event-building tail, and as the effects-only tail
 (``extend_with_tail(..., events=False)``, which runs ``Sim.settle``) that
-``explore`` runs at every terminal. All four must end in the same node
+``explore`` runs at every terminal. All three must end in the same node
 states (byzantine inboxes and consumed sets included), seq number, tail
 start, logs, an empty pending pool and the same checker reports, and must
-make the same memo lookups. The three event-building tails must also
-choose the same events and counters, the effects-only tail must return one
-seq number per event, and the traced ``drain`` must build exactly the
-reference's trace records. The comparison runs on every terminal of small
-searches and after every step of seeded walks, with and without a
-transition memo, over four fault configs.
+make the same memo lookups. The two event-building tails must also choose
+the same events and counters, the traced one must record exactly those
+events, and the effects-only tail must return one seq number per event.
+The comparison runs on every terminal of small searches and after every
+step of seeded walks, with and without a transition memo, over four fault
+configs.
 
-With a shared memo all four must also end on the very same canonical
+With a shared memo all three must also end on the very same canonical
 node objects and look up the very same states, unless the memo started
 over between their tails: its identities stand for values, so after a
 start-over equal values may be held by two objects.
@@ -32,14 +30,7 @@ import pytest
 from ezbft_lab import explorer, simnet
 from ezbft_lab.checkers import Observations, run_checkers
 from ezbft_lab.explorer import ExploreBounds, enabled_moves, explore, extend_with_tail
-from ezbft_lab.simnet import (
-    ADVERSARY,
-    DELIVER,
-    Event,
-    ScheduleError,
-    Sim,
-    TransitionMemo,
-)
+from ezbft_lab.simnet import ADVERSARY, ScheduleError, Sim, TransitionMemo
 
 from shared import FAULT_CONFIGS, two_commands
 
@@ -114,27 +105,6 @@ def _outcome(sim, events):
     return {"events": events, "counters": sim.counters, **_effects(sim)}
 
 
-def _reference_drain(sim, note=""):
-    """Deliver the oldest pending envelope through ``Sim.apply`` until none
-    remain, one event at a time; the same contract as ``Sim.drain``."""
-    applied = []
-    for _ in range(simnet.DRAIN_CAP):
-        if not sim._pending:
-            return applied
-        event = Event(DELIVER, message=next(iter(sim._pending)), note=note)
-        sim.apply(event)
-        applied.append(event)
-    raise ScheduleError(f"drain did not quiesce within {simnet.DRAIN_CAP} deliveries")
-
-
-def _reference(sim):
-    """A traced twin of ``sim`` whose drains go through ``_reference_drain``."""
-    twin = sim.clone()
-    twin.record_trace = True
-    twin.drain = lambda note="": _reference_drain(twin, note)
-    return twin
-
-
 def _lookup_ids(calls, shared):
     """Memo lookups as comparable values: by identity while the memo kept
     its objects, else by the looked-up state's value and the key's head
@@ -145,13 +115,13 @@ def _lookup_ids(calls, shared):
 
 
 def _assert_tail_matches_apply(sim, bounds, lean_first, resets, lookups):
-    """Run the tail on an untraced twin, a traced twin, the reference twin
-    and an effects-only twin of ``sim``. ``lean_first`` picks the order, so
-    that with a shared memo each side also meets steps the memo does not
-    hold yet. ``resets`` and ``lookups`` are the fixtures of those names."""
-    lean, traced, reference, settled = sim.clone(), sim.clone(), _reference(sim), sim.clone()
+    """Run the tail on an untraced twin, a traced twin and an effects-only
+    twin of ``sim``. ``lean_first`` picks the order, so that with a
+    shared memo each side also meets steps the memo does not hold yet.
+    ``resets`` and ``lookups`` are the fixtures of those names."""
+    lean, traced, settled = sim.clone(), sim.clone(), sim.clone()
     traced.record_trace = True
-    twins = (lean, traced, reference, settled)
+    twins = (lean, traced, settled)
     tails, looked_up = {}, {}
     before = resets[0]
     lookups.clear()
@@ -160,18 +130,17 @@ def _assert_tail_matches_apply(sim, bounds, lean_first, resets, lookups):
         tails[id(twin)] = extend_with_tail(twin, bounds, events=twin is not settled)
         looked_up[id(twin)] = lookups[start:]
     lean_events = tails[id(lean)]
-    expected = _outcome(reference, tails[id(reference)])
-    assert _outcome(lean, lean_events) == expected
+    expected = _outcome(lean, lean_events)
     assert _outcome(traced, tails[id(traced)]) == expected
-    assert _effects(settled) == _effects(reference)
+    assert _effects(settled) == _effects(lean)
     assert lean._pending == {} and lean.records == [] and settled.records == []
-    assert traced.records == reference.records
-    assert len(reference.records) == len(lean_events) == len(tails[id(settled)])
+    assert [record["event"] for record in traced.records] == [e.to_json() for e in lean_events]
     assert tails[id(settled)] == range(sim.seq_no, settled.seq_no)
+    assert len(lean_events) == len(tails[id(settled)])
     shared = resets[0] == before
     for node in _canonical_nodes(lean):
         mine = lean.clients if node in lean.clients else lean.replicas
-        for other in (traced, reference, settled):
+        for other in (traced, settled):
             theirs = other.clients if node in other.clients else other.replicas
             if shared:
                 assert mine[node] is theirs[node], node
@@ -248,14 +217,13 @@ def test_seeded_walk_tails_match_apply(resets, lookups, name, memo):
 def test_a_drain_cut_short_leaves_the_rest_pending(monkeypatch, memo):
     monkeypatch.setattr(simnet, "DRAIN_CAP", 3)
     sim = Sim(FAULT_CONFIGS["honest"], two_commands("Q"), memo=TransitionMemo() if memo else None)
-    traced, reference, settled = sim.clone(), _reference(sim), sim.clone()
+    traced, settled = sim.clone(), sim.clone()
     traced.record_trace = True
-    for twin in (sim, traced, reference):
+    for twin in (sim, traced):
         with pytest.raises(ScheduleError, match="did not quiesce"):
             twin.drain()
-    assert sim.pending() == traced.pending() == reference.pending()
-    assert traced.records == reference.records
-    assert len(sim.pending()) > 0 and sim.seq_no == traced.seq_no == reference.seq_no == 3
+    assert sim.pending() == traced.pending() and len(sim.pending()) > 0
+    assert sim.seq_no == traced.seq_no == len(traced.records) == 3
     # The effects-only drain stops at the same cap and seq number.
     with pytest.raises(ScheduleError, match="did not quiesce"):
         settled.settle()

@@ -4,10 +4,11 @@ invisible.
 Seeded random walks over enabled moves check, after every event, that the
 state key and node digests equal the values recomputed from fresh copies
 of every node and envelope, and that applying any enabled move to a clone
-leaves the parent's key, digests and pending messages unchanged. The walks,
-their tails and replays of the goldens also record every node object a Sim
-holds around each event and each drain, and require that none of them
-ever changes.
+leaves the parent's key, digests and pending messages unchanged, as must
+running the event-building and the effects-only tail on a clone. The
+walks, their tails and replays of the goldens also record every node
+object a Sim holds around each event and each ``settle``, and require that
+none of them ever changes.
 """
 
 import dataclasses
@@ -65,7 +66,8 @@ class _Installed:
 @pytest.fixture
 def installed(monkeypatch):
     """Record the nodes of every Sim around every ``Sim.apply`` and every
-    ``Sim.drain``, which delivers without ``apply``."""
+    ``Sim.settle``, the one delivery loop that does not go through
+    ``apply``."""
     log = _Installed()
 
     def recording(method):
@@ -78,7 +80,7 @@ def installed(monkeypatch):
 
         return wrapper
 
-    for name in ("apply", "drain"):
+    for name in ("apply", "settle"):
         monkeypatch.setattr(Sim, name, recording(getattr(Sim, name)))
     return log
 
@@ -124,6 +126,8 @@ def test_cached_keys_match_recomputation_and_clones_are_isolated(installed, conf
         tail_sim = sim.clone()
         extend_with_tail(tail_sim, bounds)
         _assert_coherent(tail_sim, acted)
+        assert _view(sim, acted) == before
+        extend_with_tail(sim.clone(), bounds, events=False)
         assert _view(sim, acted) == before
     faulty_kind = "adversary" if config.byzantine_ids else "timeout"
     assert {"deliver", "trigger_owner_change", faulty_kind} <= kinds

@@ -162,7 +162,8 @@ def test_the_pool_hash_survives_a_drain_that_raises(monkeypatch, memo):
         sim.drain()
     assert sim.pending()
     _assert_pool_hash(sim)
-    # Recomputed once, the hash is kept up to date by each delivery again.
+    # The drain delivered through ``apply``, which kept the hash up to
+    # date, as each further delivery does.
     while sim.pending():
         sim.apply(Event(DELIVER, message=sim.pending()[-1].id))
         assert sim._pending_hash == pool_hash(sim.pending())

@@ -15,7 +15,7 @@ from typing import Any, Mapping
 
 from . import client as client_mod
 from . import owner_change, replica
-from .core import Config, InstanceId, OrderingTuple, json_field, json_strings
+from .core import Config, InstanceId, OrderingTuple, json_field, json_fields, json_strings
 from .messages import (
     ClientRequest,
     Commit,
@@ -26,8 +26,6 @@ from .messages import (
     SpecOrder,
     SpecReply,
     certificate_from_json,
-    certificate_to_json,
-    payload_to_json,
 )
 from .replica import Effect, Output, ReplicaState
 
@@ -72,13 +70,7 @@ class ByzantineChoice:
     instance: InstanceId | None = None
     branches: tuple[OrderingTuple, ...] = ()
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "item": self.item,
-            "instance": str(self.instance) if self.instance else None,
-            "branches": [t.to_json() for t in self.branches],
-        }
+    to_json = json_fields
 
     @staticmethod
     def from_json(data: Mapping[str, Any]) -> "ByzantineChoice":
@@ -117,7 +109,7 @@ class FaultyClientChoice:
             "kind": self.kind,
             "command_id": self.command_id,
             "certificates": [
-                {"certificate": certificate_to_json(c), "recipients": list(rs)}
+                {"certificate": json_fields(c), "recipients": list(rs)}
                 for c, rs in self.certificates
             ],
         }
@@ -303,7 +295,7 @@ def apply_faulty_client(
     for cert, recipients in choice.certificates:
         for r in cert.replies:
             if r not in state.received:
-                raise ForgedReply(f"{state.id} never received {payload_to_json(r)}")
+                raise ForgedReply(f"{state.id} never received {json_fields(r)}")
         if cert.cert_kind == "fast":
             msg: Any = CommitFast(cert.instance, cert)
         else:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Collection, Iterable, Mapping
 
-from .core import Command, Config, interferes
+from .core import Command, Config, interferes, json_fields
 from .owner_change import CONFLICT
 from .simnet import DELIVER, Sim, Trace, WorkItem
 
@@ -47,13 +47,7 @@ class ViolationReport:
     trace_slice: tuple[int, int] | None
     details: str
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "property": self.property,
-            "witnesses": list(self.witnesses),
-            "trace_slice": list(self.trace_slice) if self.trace_slice else None,
-            "details": self.details,
-        }
+    to_json = json_fields
 
     @staticmethod
     def from_json(data: Mapping[str, Any]) -> "ViolationReport":

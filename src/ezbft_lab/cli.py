@@ -14,7 +14,7 @@ import sys
 from typing import Any, Sequence
 
 from .checkers import CHECKER_ORDER, Observations, run_checkers
-from .client import SEQ_MODE_MAX, SEQ_MODE_RECOMPUTE
+from .client import SEQ_MODE_MAX, SEQ_MODES
 from .core import Command, Config
 from .explorer import ExploreBounds, ExploreError, explore
 from .scenarios import (
@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_explore.add_argument(
         "--seq-mode",
-        choices=(SEQ_MODE_MAX, SEQ_MODE_RECOMPUTE),
+        choices=SEQ_MODES,
         default=SEQ_MODE_MAX,
         help="slow-path sequence aggregation used by clients",
     )

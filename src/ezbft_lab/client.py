@@ -34,6 +34,8 @@ COMPLETE = "complete"
 
 SEQ_MODE_MAX = "max"
 SEQ_MODE_RECOMPUTE = "recompute"
+# Every slow-path sequence aggregation a schedule, the CLI or a search may name.
+SEQ_MODES = (SEQ_MODE_MAX, SEQ_MODE_RECOMPUTE)
 
 Output = tuple[str, Any]
 Effect = dict[str, Any]

@@ -3,9 +3,10 @@ and the ordering-attribute arithmetic everything else is built on."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterable, Mapping, TypeVar
 
@@ -87,6 +88,46 @@ class InstanceId:
         if not owner:
             raise ValueError(f"malformed instance id: {text!r}")
         return cls(owner, int(slot))
+
+
+@functools.cache
+def _layout(cls: type) -> tuple[str | None, tuple[str, ...]]:
+    """A dataclass's or named tuple's ``kind`` class attribute, or None
+    when it has no str one, and its field names in declaration order."""
+    names = tuple(f.name for f in fields(cls)) if is_dataclass(cls) else cls._fields
+    kind = getattr(cls, "kind", None)
+    return (kind if isinstance(kind, str) else None), names
+
+
+def json_fields(value: Any) -> dict[str, Any]:
+    """The JSON object of a dataclass or named tuple: first the class's
+    ``kind`` when the class defines a str attribute of that name, then
+    every field in declaration order, each written by ``json_value``. A
+    class whose JSON is exactly its fields says ``to_json = json_fields``."""
+    kind, names = _layout(type(value))
+    data: dict[str, Any] = {} if kind is None else {"kind": kind}
+    for name in names:
+        data[name] = json_value(getattr(value, name))
+    return data
+
+
+def json_value(value: Any) -> Any:
+    """The JSON of one field value. None, str, int, bool and dict stay as
+    they are; an InstanceId becomes its text; a value with its own
+    ``to_json`` goes through that; a tuple becomes a list and a frozenset
+    the sorted list of its items."""
+    if value is None or isinstance(value, (str, int, dict)):
+        return value
+    if isinstance(value, InstanceId):
+        return str(value)
+    to_json = getattr(value, "to_json", None)
+    if to_json is not None:
+        return to_json()
+    if isinstance(value, tuple):
+        return [json_value(item) for item in value]
+    if isinstance(value, frozenset):
+        return [json_value(item) for item in sorted(value)]
+    raise TypeError(f"no JSON form for {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -188,14 +229,7 @@ class Config:
     def correct_replicas(self) -> tuple[str, ...]:
         return tuple(r for r in self.replica_ids if r not in self.byzantine_ids)
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "n": self.n,
-            "f": self.f,
-            "replica_ids": list(self.replica_ids),
-            "byzantine_ids": sorted(self.byzantine_ids),
-            "faulty_client_ids": sorted(self.faulty_client_ids),
-        }
+    to_json = json_fields
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "Config":

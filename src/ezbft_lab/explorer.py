@@ -33,13 +33,14 @@ from .checkers import (
     ViolationReport,
     run_checkers,
 )
-from .client import SEQ_MODE_MAX, SPECULATING, slow_quorum
+from .client import SEQ_MODE_MAX, SEQ_MODES, SPECULATING, slow_quorum
 from .replica import SPECULATED
 from .core import (
     Config,
     InstanceId,
     OrderingTuple,
     interferes,
+    json_fields,
     tuple_sort_key,
     tuples_equal,
 )
@@ -97,14 +98,7 @@ class ExploreBounds:
         if self.max_states is not None and self.max_states < 0:
             raise ValueError("max_states must be nonnegative")
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "workload": [w.to_json() for w in self.workload],
-            "max_events": self.max_events,
-            "max_owner_changes_per_instance": self.max_owner_changes_per_instance,
-            "byzantine_branch_tuples": self.byzantine_branch_tuples,
-            "max_states": self.max_states,
-        }
+    to_json = json_fields
 
 
 @dataclass
@@ -542,22 +536,26 @@ def explore(
     at an equal or shallower depth are pruned by state key. The
     search stops early once every requested property has a finding; it
     reports exhausted=True only when the full bounded space was covered.
-    Raises ValueError for an unknown property, an empty workload, a faulty
-    client without a workload item, a workload target that is not a
-    replica or a workload client whose id is a replica's."""
+    Raises ValueError for an unknown property or seq mode, an empty
+    property list, an empty workload, a faulty client without a workload
+    item, a workload target that is not a replica or a workload client
+    whose id is a replica's."""
     start = time.monotonic()
+    wanted = None if properties is None else set(properties)
     requested = (
-        tuple(p for p in CHECKER_ORDER if p in set(properties))
-        if properties is not None
-        else CHECKER_ORDER
+        CHECKER_ORDER if wanted is None else tuple(p for p in CHECKER_ORDER if p in wanted)
     )
-    if properties is not None:
-        unknown = sorted(set(properties) - set(CHECKERS))
+    if wanted is not None:
+        unknown = sorted(wanted - set(CHECKERS))
         if unknown:
             raise ValueError(f"unknown properties: {', '.join(unknown)}")
-    # No request leaves nothing to check, a faulty client without a request
-    # never acts, and a request to no replica is never delivered: each
-    # would make a clean verdict vacuous.
+    if seq_mode not in SEQ_MODES:
+        raise ValueError(f"unknown seq mode {seq_mode!r}")
+    # No property leaves nothing to check, no request leaves nothing to
+    # run, a faulty client without a request never acts, and a request to
+    # no replica is never delivered: each would make a clean verdict vacuous.
+    if not requested:
+        raise ValueError("no properties to check")
     if not bounds.workload:
         raise ValueError("the workload has no commands")
     idle = sorted(config.faulty_client_ids - {item.client for item in bounds.workload})

@@ -8,7 +8,7 @@ Faulty nodes may say arbitrary things but never as somebody else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .core import (
     Command,
@@ -18,6 +18,7 @@ from .core import (
     cached_hash,
     cached_json,
     json_field,
+    json_fields,
     json_object,
 )
 
@@ -28,6 +29,8 @@ class ClientRequest:
     kind = "request"
     client: str
     command: Command
+
+    to_json = json_fields
 
 
 @cached_hash
@@ -40,6 +43,8 @@ class SpecOrder:
     tuple: OrderingTuple
     owner_number: OwnerNumber
     client: str
+
+    to_json = json_fields
 
 
 @cached_hash
@@ -55,6 +60,8 @@ class SpecReply:
     owner_number: OwnerNumber
     result: str = ""
 
+    to_json = json_fields
+
 
 @cached_hash
 @dataclass(frozen=True)
@@ -67,6 +74,8 @@ class CommitCertificate:
 
     cert_kind: str
     replies: tuple[SpecReply, ...]
+
+    to_json = json_fields
 
     @property
     def instance(self) -> InstanceId:
@@ -127,6 +136,8 @@ class CommitFast:
     instance: InstanceId
     certificate: CommitCertificate
 
+    to_json = json_fields
+
 
 @cached_hash
 @dataclass(frozen=True)
@@ -135,6 +146,8 @@ class Commit:
     instance: InstanceId
     tuple: OrderingTuple
     certificate: CommitCertificate
+
+    to_json = json_fields
 
 
 @cached_hash
@@ -146,6 +159,8 @@ class CommitReply:
     instance: InstanceId
     tuple: OrderingTuple
     result: str
+
+    to_json = json_fields
 
 
 @cached_hash
@@ -165,6 +180,8 @@ class OwnerChangeVote:
     spec_reply: SpecReply | None = None
     certificate: CommitCertificate | None = None
 
+    to_json = json_fields
+
 
 @cached_hash
 @dataclass(frozen=True)
@@ -176,6 +193,8 @@ class NewOwner:
     tuple: OrderingTuple
     owner_number: OwnerNumber
     proof: tuple[OwnerChangeVote, ...]
+
+    to_json = json_fields
 
 
 Payload = (
@@ -200,88 +219,22 @@ class Envelope(NamedTuple):
     payload: Payload
     hop: int
 
+    to_json = json_fields
+
     @property
     def kind(self) -> str:
         return self.payload.kind
 
 
-def payload_to_json(p: Payload) -> dict[str, Any]:
-    if isinstance(p, ClientRequest):
-        return {"kind": p.kind, "client": p.client, "command": p.command.to_json()}
-    if isinstance(p, SpecOrder):
-        return {
-            "kind": p.kind,
-            "instance": str(p.instance),
-            "tuple": p.tuple.to_json(),
-            "owner_number": p.owner_number,
-            "client": p.client,
-        }
-    if isinstance(p, SpecReply):
-        return {
-            "kind": p.kind,
-            "sender": p.sender,
-            "client": p.client,
-            "instance": str(p.instance),
-            "tuple": p.tuple.to_json(),
-            "owner_number": p.owner_number,
-            "result": p.result,
-        }
-    if isinstance(p, CommitFast):
-        return {
-            "kind": p.kind,
-            "instance": str(p.instance),
-            "certificate": certificate_to_json(p.certificate),
-        }
-    if isinstance(p, Commit):
-        return {
-            "kind": p.kind,
-            "instance": str(p.instance),
-            "tuple": p.tuple.to_json(),
-            "certificate": certificate_to_json(p.certificate),
-        }
-    if isinstance(p, CommitReply):
-        return {
-            "kind": p.kind,
-            "sender": p.sender,
-            "client": p.client,
-            "instance": str(p.instance),
-            "tuple": p.tuple.to_json(),
-            "result": p.result,
-        }
-    if isinstance(p, OwnerChangeVote):
-        return {
-            "kind": p.kind,
-            "sender": p.sender,
-            "instance": str(p.instance),
-            "owner_number": p.owner_number,
-            "accepted_tuple": p.accepted_tuple.to_json() if p.accepted_tuple else None,
-            "spec_reply": payload_to_json(p.spec_reply) if p.spec_reply else None,
-            "certificate": certificate_to_json(p.certificate) if p.certificate else None,
-        }
-    if isinstance(p, NewOwner):
-        return {
-            "kind": p.kind,
-            "instance": str(p.instance),
-            "tuple": p.tuple.to_json(),
-            "owner_number": p.owner_number,
-            "proof": [payload_to_json(v) for v in p.proof],
-        }
-    raise TypeError(f"unknown payload {p!r}")
-
-
 def payload_text(p: Payload) -> str:
-    """The canonical JSON text of ``payload_to_json(p)``, encoded once per
-    payload object."""
-    return cached_json(p, payload_to_json)
+    """The canonical JSON text of ``p.to_json()``, encoded once per payload
+    object."""
+    return cached_json(p, json_fields)
 
 
 def payloads_text(items: Mapping[str, Payload]) -> str:
     """The canonical JSON text of a dict of payloads keyed by node id."""
     return json_object([(key, payload_text(p)) for key, p in items.items()])
-
-
-def certificate_to_json(c: CommitCertificate) -> dict[str, Any]:
-    return {"cert_kind": c.cert_kind, "replies": [payload_to_json(r) for r in c.replies]}
 
 
 def certificate_from_json(data: Mapping[str, Any]) -> CommitCertificate:
@@ -305,14 +258,3 @@ def spec_reply_from_json(data: Mapping[str, Any]) -> SpecReply:
         json_field(data, "owner_number", int),
         json_field(data, "result", str, optional=True) or "",
     )
-
-
-def envelope_to_json(e: Envelope) -> dict[str, Any]:
-    return {
-        "id": e.id,
-        "sender": e.sender,
-        "recipient": e.recipient,
-        "hop": e.hop,
-        "payload": payload_to_json(e.payload),
-    }
-

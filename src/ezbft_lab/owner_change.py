@@ -11,7 +11,7 @@ instance stuck; that outcome is first-class here, not an exception path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     Config,
@@ -19,6 +19,7 @@ from .core import (
     OrderingTuple,
     OwnerNumber,
     cached_hash,
+    json_fields,
     tuple_sort_key,
     tuples_equal,
 )
@@ -43,12 +44,7 @@ class CandidateTuple:
     has_commit_cert: bool
     reply_count: int
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "tuple": self.tuple.to_json(),
-            "has_commit_cert": self.has_commit_cert,
-            "reply_count": self.reply_count,
-        }
+    to_json = json_fields
 
 
 @cached_hash
@@ -64,16 +60,7 @@ class Selection:
     condition: int | None = None
     candidates: tuple[CandidateTuple, ...] = ()
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "outcome": self.outcome,
-            "instance": str(self.instance),
-            "owner_number": self.owner_number,
-            "tuple": self.tuple.to_json() if self.tuple else None,
-            "second": self.second.to_json() if self.second else None,
-            "condition": self.condition,
-            "candidates": [c.to_json() for c in self.candidates],
-        }
+    to_json = json_fields
 
 
 def _extends(pj: OrderingTuple, pi: OrderingTuple) -> bool:

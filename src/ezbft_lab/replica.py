@@ -20,6 +20,7 @@ from .core import (
     cached_json,
     canonical_json,
     interferes,
+    json_fields,
     json_object,
     state_json,
     tuples_equal,
@@ -31,7 +32,6 @@ from .messages import (
     CommitReply,
     SpecOrder,
     SpecReply,
-    certificate_to_json,
     payload_text,
     payloads_text,
 )
@@ -180,7 +180,7 @@ def _record_text(rec: InstanceRecord) -> str:
             ("tuple", cached_json(rec.tuple, OrderingTuple.to_json)),
             ("owner_number", canonical_json(rec.owner_number)),
             ("status", canonical_json(rec.status)),
-            ("certificate", "null" if cert is None else cached_json(cert, certificate_to_json)),
+            ("certificate", "null" if cert is None else cached_json(cert, json_fields)),
         ])
     return text
 

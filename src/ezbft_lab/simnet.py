@@ -35,10 +35,11 @@ from .core import (
     OrderingTuple,
     canonical_json,
     json_field,
+    json_fields,
     json_strings,
     text_digest,
 )
-from .messages import ClientRequest, CommitReply, Envelope, SpecReply, envelope_to_json
+from .messages import ClientRequest, CommitReply, Envelope, SpecReply
 from .replica import ReplicaState
 from .adversary import ByzantineChoice, FaultyClientChoice
 
@@ -69,8 +70,7 @@ class WorkItem:
     command: Command
     target: str
 
-    def to_json(self) -> dict[str, Any]:
-        return {"client": self.client, "command": self.command.to_json(), "target": self.target}
+    to_json = json_fields
 
     @staticmethod
     def from_json(data: Mapping[str, Any]) -> "WorkItem":
@@ -150,21 +150,14 @@ class Schedule:
     tail_start: int | None = None
     seq_mode: str = client_mod.SEQ_MODE_MAX
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "config": self.config.to_json(),
-            "workload": [w.to_json() for w in self.workload],
-            "events": [e.to_json() for e in self.events],
-            "tail_start": self.tail_start,
-            "seq_mode": self.seq_mode,
-        }
+    to_json = json_fields
 
     @staticmethod
     def from_json(data: Mapping[str, Any]) -> "Schedule":
         """Raises ScheduleError when a field is missing or ill-typed."""
         with _malformed("schedule"):
             seq_mode = json_field(data, "seq_mode", str, optional=True) or client_mod.SEQ_MODE_MAX
-            if seq_mode not in (client_mod.SEQ_MODE_MAX, client_mod.SEQ_MODE_RECOMPUTE):
+            if seq_mode not in client_mod.SEQ_MODES:
                 raise ValueError(f"unknown seq mode {seq_mode!r}")
             schedule = Schedule(
                 config=Config.from_json(json_field(data, "config", dict)),
@@ -707,7 +700,7 @@ class Sim:
                 "seq_no": seq_no,
                 "kind": event.kind,
                 "event": event.to_json(),
-                "emitted": [envelope_to_json(e) for e in emitted],
+                "emitted": [json_fields(e) for e in emitted],
                 "effects": effects,
                 "digests": self.node_digests(),
             }

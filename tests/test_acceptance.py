@@ -21,6 +21,7 @@ from ezbft_lab.core import (
     OrderingTuple,
     canonical_json,
     interferes,
+    json_fields,
 )
 from ezbft_lab.explorer import ExploreBounds, explore
 from ezbft_lab.messages import (
@@ -30,7 +31,6 @@ from ezbft_lab.messages import (
     OwnerChangeVote,
     SpecOrder,
     SpecReply,
-    payload_to_json,
 )
 from ezbft_lab.owner_change import select_safe_tuple
 from ezbft_lab.replica import SPECULATED, InstanceRecord, ReplicaState, on_client_request
@@ -373,7 +373,7 @@ def _snapshot(state):
             for inst, rec in state.log.items()
         },
         "owner_numbers": {str(i): n for i, n in state.owner_numbers.items()},
-        "sent": {str(i): payload_to_json(r) for i, r in state.sent_replies.items()},
+        "sent": {str(i): json_fields(r) for i, r in state.sent_replies.items()},
         "voted": sorted(f"{i}@{n}" for i, n in state.voted),
         "executed": list(state.executed),
         "kv": dict(state.kv),

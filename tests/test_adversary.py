@@ -35,7 +35,6 @@ from ezbft_lab.messages import (
     CommitFast,
     SpecOrder,
     SpecReply,
-    payload_to_json,
 )
 from ezbft_lab.replica import ReplicaState, on_spec_order
 

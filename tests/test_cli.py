@@ -1,6 +1,7 @@
 """Command-line contract: exit code 0 clean, 2 violation found, 1 error."""
 
 import contextlib
+import hashlib
 import io
 import json
 
@@ -9,7 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ezbft_lab.cli import main
+from ezbft_lab.core import canonical_json
 from ezbft_lab.scenarios import build_happy_path, build_scenario
+
+
+def _output_digests(directory):
+    """The sha256 of each written file's canonical JSON, keyed by file
+    name; ``result.json`` without its wall time."""
+    digests = {}
+    for path in sorted(directory.iterdir()):
+        data = json.loads(path.read_text())
+        if path.name == "result.json":
+            del data["elapsed_seconds"]
+        digests[path.name] = hashlib.sha256(canonical_json(data).encode()).hexdigest()
+    return digests
 
 
 def test_scenario_exits_zero_when_reports_match(capsys):
@@ -70,6 +84,9 @@ def test_explore_clean_run_exits_zero_and_writes_result(tmp_path):
     result = json.loads((tmp_path / "result.json").read_text())
     assert result["exhausted"] is True
     assert result["violations"] == []
+    assert _output_digests(tmp_path) == {
+        "result.json": "7db93cd5c521e13d5c9305e4afabfe21787b98bea463754dbbe0b00045315c94",
+    }
 
 
 def test_explore_finds_violations_and_writes_schedules(tmp_path):
@@ -86,6 +103,17 @@ def test_explore_finds_violations_and_writes_schedules(tmp_path):
     for prop in ("agreement", "liveness"):
         assert (tmp_path / f"violation_{prop}.schedule.json").exists()
         assert (tmp_path / f"violation_{prop}.report.json").exists()
+    assert _output_digests(tmp_path) == {
+        "result.json": "173499a37865300dc24277589d8b62bbdf29769ffd109c9bf91a4a4736f521c8",
+        "violation_agreement.report.json":
+            "e87a4c44513a7ecfeea2d1a1223937430d9f416293d47aafb1d4435d389fcccd",
+        "violation_agreement.schedule.json":
+            "0add0f833753fa40aa9a6ed67f8c45e03855f9f3118c234afee027affd0293f3",
+        "violation_liveness.report.json":
+            "7882e01bcc0de0ae4a3ded6e36ce8054ab4e1c3708b27e703aaeb1206c60b035",
+        "violation_liveness.schedule.json":
+            "e689f9523fd3ce46a79831e4661522d400a8aa9afc5303f51d1390d5a2f30ac6",
+    }
 
 
 def test_explore_minimized_schedule_replays_through_the_cli(tmp_path):
@@ -145,6 +173,11 @@ def test_explore_input_that_would_give_a_vacuous_verdict_is_an_error(capsys, arg
     assert captured.out == ""
 
 
+def test_explore_with_an_empty_property_list_checks_all_properties(capsys):
+    assert main(["explore", "--max-events", "2", "--properties", ""]) == 0
+    assert capsys.readouterr().out.endswith("no violations\n")
+
+
 def test_usage_errors_exit_one():
     assert main([]) == 1
     assert main(["frobnicate"]) == 1
@@ -192,6 +225,28 @@ def test_replay_of_a_certificate_holding_another_payload_kind_is_an_error(tmp_pa
     assert main(["replay", str(schedule)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: malformed schedule") and "spec_reply" in err
+
+
+def test_a_forged_reply_in_a_certificate_is_named_in_the_error(tmp_path, capsys):
+    """A faulty client packages only replies it received. The error names
+    the forged reply by its JSON, ``kind`` first."""
+    data = build_scenario("safety").schedule.to_json()
+    split = next(
+        e["choice"] for e in data["events"]
+        if (e.get("choice") or {}).get("kind") == "split_certificates"
+    )
+    split["certificates"][0]["certificate"]["replies"][0]["result"] = "forged"
+    schedule = tmp_path / "forged.schedule.json"
+    schedule.write_text(json.dumps(data))
+    assert main(["replay", str(schedule)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: adversary event failed: c1 never received {'kind': 'spec_reply', "
+        "'sender': 'L', 'client': 'c1', 'instance': 'R.0', 'tuple': {'command': "
+        "{'id': 'a', 'client': 'c1', 'key': 'k', 'payload': 'va'}, 'deps': [], "
+        "'seq': 1}, 'owner_number': 0, 'result': 'forged'}\n"
+    )
+    assert captured.out == ""
 
 
 def _liveness_with_tail_start(tail_start):

@@ -1,6 +1,8 @@
 """Identifiers, membership math, and ordering-tuple primitives."""
 
 import json
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from ezbft_lab.core import (
     canonical_json,
     digest,
     interferes,
+    json_fields,
     json_object,
     tuple_sort_key,
     tuples_equal,
@@ -38,6 +41,40 @@ def test_command_json_round_trip(cmd_a):
 def test_ordering_tuple_json_round_trip(ext):
     back = OrderingTuple.from_json(ext.to_json())
     assert tuples_equal(back, ext)
+
+
+@dataclass(frozen=True)
+class _Tagged:
+    kind = "tagged"
+    ids: frozenset
+    at: InstanceId | None
+    parts: tuple
+
+    to_json = json_fields
+
+
+class _Pair(NamedTuple):
+    left: _Tagged
+    right: bool
+
+
+def test_json_fields_writes_kind_first_then_each_field_in_order(cmd_a):
+    tagged = _Tagged(
+        frozenset({InstanceId("R", 10), InstanceId("R", 2)}), None, (cmd_a, InstanceId("T", 0))
+    )
+    data = json_fields(_Pair(tagged, True))
+    assert data == {
+        "left": {
+            "kind": "tagged",
+            "ids": ["R.2", "R.10"],
+            "at": None,
+            "parts": [cmd_a.to_json(), "T.0"],
+        },
+        "right": True,
+    }
+    assert list(data["left"]) == ["kind", "ids", "at", "parts"]
+    with pytest.raises(TypeError, match="no JSON form for float"):
+        json_fields(_Pair(tagged, 0.5))
 
 
 def test_config_rejects_bad_shapes():

@@ -87,6 +87,27 @@ def test_explore_rejects_an_empty_workload():
         explore(CORRECT, ExploreBounds(workload=(), max_events=3))
 
 
+def test_explore_rejects_an_empty_property_list():
+    """Nothing to check would make a clean verdict vacuous."""
+    with pytest.raises(ValueError, match="no properties to check"):
+        explore(CORRECT, ExploreBounds(workload=_one_command(), max_events=3), properties=())
+
+
+def test_explore_reads_a_one_shot_property_iterable_once():
+    """A generator of properties is read once, not once per property."""
+    bounds = ExploreBounds(workload=two_commands("Q"), max_events=5)
+    result = explore(CORRECT, bounds, (p for p in ["execution_consistency"]))
+    assert result.found_properties() == ("execution_consistency",)
+
+
+def test_explore_rejects_an_unknown_seq_mode_before_it_searches():
+    """A search this shallow fires no timeout, so the mode is never used:
+    without the check up front it would end "exhausted, clean"."""
+    bounds = ExploreBounds(workload=two_commands("Q"), max_events=3)
+    with pytest.raises(ValueError, match="unknown seq mode 'bogus'"):
+        explore(CORRECT, bounds, seq_mode="bogus")
+
+
 def test_explore_honest_small_run_is_clean_and_exhausted():
     bounds = ExploreBounds(workload=_one_command(), max_events=6)
     result = explore(CORRECT, bounds, properties=["agreement", "validity", "liveness"])

@@ -30,7 +30,7 @@ import pytest
 
 from ezbft_lab import explorer
 from ezbft_lab.client import ClientState
-from ezbft_lab.core import Command, Config, OrderingTuple, canonical_json, digest
+from ezbft_lab.core import Command, Config, OrderingTuple, canonical_json, digest, json_fields
 from ezbft_lab.explorer import ExploreBounds, enabled_moves, explore, extend_with_tail
 from ezbft_lab.messages import (
     ClientRequest,
@@ -43,8 +43,6 @@ from ezbft_lab.messages import (
     OwnerChangeVote,
     SpecOrder,
     SpecReply,
-    certificate_to_json,
-    payload_to_json,
 )
 from ezbft_lab.owner_change import CandidateTuple, Selection
 from ezbft_lab.replica import InstanceRecord
@@ -251,14 +249,14 @@ def _reference_json(state):
                     "target": req.target,
                     "phase": req.phase,
                     "timer_armed": req.timer_armed,
-                    "replies": {s: payload_to_json(r) for s, r in req.replies.items()},
+                    "replies": {s: json_fields(r) for s, r in req.replies.items()},
                     "commit_replies": {
-                        s: payload_to_json(r) for s, r in req.commit_replies.items()
+                        s: json_fields(r) for s, r in req.commit_replies.items()
                     },
                 }
                 for cid, req in state.requests.items()
             },
-            "received": [payload_to_json(r) for r in state.received],
+            "received": [json_fields(r) for r in state.received],
         }
     return {
         "id": state.id,
@@ -268,14 +266,14 @@ def _reference_json(state):
                 "tuple": rec.tuple.to_json(),
                 "owner_number": rec.owner_number,
                 "status": rec.status,
-                "certificate": certificate_to_json(rec.certificate) if rec.certificate else None,
+                "certificate": json_fields(rec.certificate) if rec.certificate else None,
             }
             for i, rec in state.log.items()
         },
-        "sent_replies": {str(i): payload_to_json(r) for i, r in state.sent_replies.items()},
+        "sent_replies": {str(i): json_fields(r) for i, r in state.sent_replies.items()},
         "owner_numbers": {str(i): n for i, n in state.owner_numbers.items()},
         "votes": {
-            f"{i}@{n}": {s: payload_to_json(v) for s, v in votes.items()}
+            f"{i}@{n}": {s: json_fields(v) for s, v in votes.items()}
             for (i, n), votes in state.votes.items()
         },
         "decisions": {f"{i}@{n}": d.to_json() for (i, n), d in state.decisions.items()},
@@ -300,14 +298,14 @@ def _reference_projection(sim):
                 "state": data,
                 "inbox": sorted(
                     canonical_json(
-                        {"from": s, "payload": payload_to_json(p), "consumed": i in state.consumed}
+                        {"from": s, "payload": json_fields(p), "consumed": i in state.consumed}
                     )
                     for i, (s, p) in enumerate(state.inbox)
                 ),
             }
         parts.append(canonical_json(data))
     parts += sorted(
-        canonical_json({"from": e.sender, "to": e.recipient, "payload": payload_to_json(e.payload)})
+        canonical_json({"from": e.sender, "to": e.recipient, "payload": json_fields(e.payload)})
         for e in sim.pending()
     )
     return "\n".join(parts)

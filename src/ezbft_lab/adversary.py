@@ -307,7 +307,7 @@ def apply_faulty_client(
         "node": state.id,
         "action": choice.kind,
         "certificates": [
-            {"vouches": c.vouched_tuple().to_json(), "recipients": list(rs)}
+            {"vouches": c.vouched_tuple(), "recipients": rs}
             for c, rs in choice.certificates
         ],
     }

@@ -6,16 +6,19 @@ live Sim or from a trace file), returns at most one ViolationReport, and is
 a pure function of its input. Liveness alone has a precondition: it judges
 "stuck" states, which is only meaningful after a synchronous tail (every
 pending message delivered, owner change given its chance to finish).
+
+Observation records hold values; checkers decode nothing and write a
+report's JSON only when they build it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Collection, Iterable, Mapping
 
-from .core import Command, Config, interferes, json_fields
+from .core import Config, InstanceId, OrderingTuple, interferes, json_fields, json_value
 from .owner_change import CONFLICT
-from .simnet import DELIVER, Sim, Trace, WorkItem
+from .simnet import DELIVER, Sim, Trace, WorkItem, observed_effect
 
 AGREEMENT = "agreement"
 VALIDITY = "validity"
@@ -30,11 +33,10 @@ class PreconditionUnmet(Exception):
     """The trace cannot support this check (liveness needs a tail)."""
 
 
-def fmt_tuple(tuple_json: Mapping[str, Any]) -> str:
+def fmt_tuple(t: OrderingTuple) -> str:
     """Compact one-line tuple rendering used in report details."""
-    cmd = tuple_json["command"]["id"]
-    deps = ",".join(tuple_json["deps"])
-    return f"{cmd}[{deps}]@{tuple_json['seq']}"
+    command_id, deps, seq = _report_order(t)
+    return f"{command_id}[{','.join(deps)}]@{seq}"
 
 
 @dataclass(frozen=True)
@@ -108,12 +110,11 @@ class Observations:
             if event.get("kind") == DELIVER:
                 delivered.add(event["message"])
             for eff in record.get("effects") or []:
-                if eff.get("type") == "commit":
-                    commits.append({**eff, "seq_no": seq_no})
-                elif eff.get("type") == "selection":
-                    selections.append({**eff, "seq_no": seq_no})
-                elif eff.get("type") == "execute":
-                    final_executed[eff["replica"]] = list(eff["order"])
+                observed = observed_effect(eff, seq_no) or {}
+                if observed.get("type") == "execute":
+                    final_executed[observed["replica"]] = observed["order"]
+                elif observed:
+                    (commits if observed["type"] == "commit" else selections).append(observed)
         return Observations(
             config=schedule.config,
             workload=schedule.workload,
@@ -129,12 +130,14 @@ class Observations:
         return [c for c in self.commits if c["replica"] not in byz]
 
 
-def _tuple_key(tuple_json: Mapping[str, Any]) -> tuple:
-    return (
-        tuple_json["command"]["id"],
-        tuple(tuple_json["deps"]),
-        tuple_json["seq"],
-    )
+def _protocol_key(t: OrderingTuple) -> tuple:
+    """Equal exactly when ``tuples_equal`` holds."""
+    return (t.command.id, t.deps, t.seq)
+
+
+def _report_order(t: OrderingTuple) -> tuple:
+    """The order reports list tuples in, dep lists compared as text."""
+    return (t.command.id, tuple(str(d) for d in sorted(t.deps)), t.seq)
 
 
 def _slice(seq_nos: Iterable[int]) -> tuple[int, int] | None:
@@ -152,11 +155,12 @@ _CONFLICT_FIELDS = ("leader", "instance", "owner_number", "tuple", "second")
 
 
 def _cite(record: Mapping[str, Any], fields: tuple[str, ...]) -> dict[str, Any]:
-    return {k: record[k] for k in fields}
+    """The JSON of the named fields of a record, as a witness cites them."""
+    return {k: json_value(record[k]) for k in fields}
 
 
 def _pair_witness(commit: Mapping[str, Any]) -> dict[str, Any]:
-    return {"command": commit["tuple"]["command"]["id"], **_cite(commit, _PAIR_FIELDS)}
+    return {"command": commit["tuple"].command.id, **_cite(commit, _PAIR_FIELDS)}
 
 
 def _diverged(entries: Collection[tuple[str, Any]]) -> bool:
@@ -169,23 +173,24 @@ def check_agreement(obs: Observations) -> ViolationReport | None:
     """Two correct replicas must never commit non-equal tuples at one
     instance. Every commit counts, including re-commits at higher owner
     numbers: a finalized fast-path commit is final."""
-    by_instance: dict[str, dict[tuple, dict[str, Any]]] = {}
+    by_instance: dict[InstanceId, dict[tuple, dict[str, Any]]] = {}
     for c in obs.correct_commits():
         entry = by_instance.setdefault(c["instance"], {})
-        entry.setdefault((c["replica"], _tuple_key(c["tuple"])), c)
+        entry.setdefault((c["replica"], _protocol_key(c["tuple"])), c)
     witnesses: list[dict[str, Any]] = []
     parts: list[str] = []
-    for instance in sorted(by_instance):
+    for instance in sorted(by_instance, key=str):
         entries = by_instance[instance]
         if not _diverged(entries):
             continue
-        witnesses += (_cite(entries[k], _AGREEMENT_FIELDS) for k in sorted(entries))
-        shown: dict[tuple, tuple[dict[str, Any], set[str]]] = {}
-        for (replica, key), c in entries.items():
-            shown.setdefault(key, (c["tuple"], set()))[1].add(replica)
+        cited = sorted(entries.values(), key=lambda c: (c["replica"], _report_order(c["tuple"])))
+        witnesses += (_cite(c, _AGREEMENT_FIELDS) for c in cited)
+        shown: dict[tuple, tuple[OrderingTuple, set[str]]] = {}
+        for c in cited:
+            shown.setdefault(_report_order(c["tuple"]), (c["tuple"], set()))[1].add(c["replica"])
         rendered = "; ".join(
-            f"{fmt_tuple(shown[key][0])} by {','.join(sorted(shown[key][1]))}"
-            for key in sorted(shown)
+            f"{fmt_tuple(t)} by {','.join(sorted(replicas))}"
+            for _order, (t, replicas) in sorted(shown.items())
         )
         parts.append(f"instance {instance} committed as {rendered}")
     if not witnesses:
@@ -201,18 +206,19 @@ def check_agreement(obs: Observations) -> ViolationReport | None:
 def _unproposed(obs: Observations) -> list[dict[str, Any]]:
     """Correct replicas' commits of commands no client proposed."""
     proposed = {w.command.id for w in obs.workload}
-    return [c for c in obs.correct_commits() if c["tuple"]["command"]["id"] not in proposed]
+    return [c for c in obs.correct_commits() if c["tuple"].command.id not in proposed]
 
 
 def check_validity(obs: Observations) -> ViolationReport | None:
     """Correct replicas must only commit commands some client proposed."""
+    unproposed = _unproposed(obs)
     witnesses = sorted(
-        (_cite(c, _VALIDITY_FIELDS) for c in _unproposed(obs)),
+        (_cite(c, _VALIDITY_FIELDS) for c in unproposed),
         key=lambda w: (w["instance"], w["replica"]),
     )
     if not witnesses:
         return None
-    names = sorted({w["tuple"]["command"]["id"] for w in witnesses})
+    names = sorted({c["tuple"].command.id for c in unproposed})
     return ViolationReport(
         VALIDITY,
         tuple(witnesses),
@@ -227,19 +233,14 @@ def _committed_commands(obs: Observations) -> dict[str, dict[str, Any]]:
     the first commit record."""
     out: dict[str, dict[str, Any]] = {}
     for c in obs.correct_commits():
-        tj = c["tuple"]
-        cid = tj["command"]["id"]
-        entry = out.setdefault(
-            cid,
-            {
-                "command": Command.from_json(tj["command"]),
-                "instances": set(),
-                "deps": set(),
-                "first": c,
-            },
-        )
+        t = c["tuple"]
+        entry = out.get(t.command.id)
+        if entry is None:
+            entry = out[t.command.id] = {
+                "command": t.command, "instances": set(), "deps": set(), "first": c,
+            }
         entry["instances"].add(c["instance"])
-        entry["deps"].update(tj["deps"])
+        entry["deps"].update(t.deps)
     return out
 
 
@@ -279,8 +280,8 @@ def check_dependency_inclusion(obs: Observations) -> ViolationReport | None:
         return None
     witnesses = _pair_witnesses(pairs)
     names = "; ".join(
-        f"{ea['command'].id}@{sorted(ea['instances'])[0]} and "
-        f"{eb['command'].id}@{sorted(eb['instances'])[0]} committed with neither depending on the other"
+        f"{ea['command'].id}@{min(map(str, ea['instances']))} and "
+        f"{eb['command'].id}@{min(map(str, eb['instances']))} committed with neither depending on the other"
         for ea, eb in pairs
     )
     return ViolationReport(
@@ -353,7 +354,7 @@ def _tail_unmet(obs: Observations) -> str | None:
 def _stuck(obs: Observations) -> list[dict[str, Any]]:
     """Stuck witnesses: each correct client's workload command that no
     correct replica committed."""
-    committed_ids = {c["tuple"]["command"]["id"] for c in obs.correct_commits()}
+    committed_ids = {c["tuple"].command.id for c in obs.correct_commits()}
     return [
         {"stuck_command": w.command.id, "client": w.client}
         for w in obs.workload
@@ -362,14 +363,16 @@ def _stuck(obs: Observations) -> list[dict[str, Any]]:
 
 
 def _tail_conflicts(obs: Observations) -> list[dict[str, Any]]:
-    """Conflict witnesses: each certified-conflict selection a correct
-    leader made during the tail, with its seq number."""
+    """The certified-conflict selections correct leaders made in the tail."""
     byz = obs.config.byzantine_ids
     return [
-        {"conflict": _cite(s, _CONFLICT_FIELDS), "seq_no": s["seq_no"]}
-        for s in obs.selections
+        s for s in obs.selections
         if s["outcome"] == CONFLICT and s["seq_no"] >= obs.tail_start and s["leader"] not in byz
     ]
+
+
+def _conflict_witness(selection: Mapping[str, Any]) -> dict[str, Any]:
+    return {"conflict": _cite(selection, _CONFLICT_FIELDS), "seq_no": selection["seq_no"]}
 
 
 def check_liveness(obs: Observations) -> ViolationReport | None:
@@ -386,15 +389,14 @@ def check_liveness(obs: Observations) -> ViolationReport | None:
     if not stuck or not conflicts:
         return None
     stuck_names = ", ".join(f"{w['stuck_command']} from {w['client']}" for w in stuck)
-    first = conflicts[0]["conflict"]
+    first = conflicts[0]
     details = (
         f"commands never committed: {stuck_names}; owner change for {first['instance']} "
         f"at number {first['owner_number']} found conflicting certified tuples "
         f"{fmt_tuple(first['tuple'])} vs {fmt_tuple(first['second'])} and no rule resolves them"
     )
-    return ViolationReport(
-        LIVENESS, tuple(stuck + conflicts), _slice(w["seq_no"] for w in conflicts), details
-    )
+    witnesses = tuple(stuck + [_conflict_witness(s) for s in conflicts])
+    return ViolationReport(LIVENESS, witnesses, _slice(s["seq_no"] for s in conflicts), details)
 
 
 CHECKERS = {
@@ -454,19 +456,16 @@ def verify_report(report: ViolationReport, obs: Observations) -> bool:
         if prop == EXECUTION_CONSISTENCY:
             supported += [w for a, b in _interfering(committed) for w in _orders(obs, a, b)]
     elif prop == LIVENESS and not _tail_unmet(obs):
-        supported = _stuck(obs) + _tail_conflicts(obs)
+        supported = _stuck(obs) + [_conflict_witness(s) for s in _tail_conflicts(obs)]
     else:
         return False
     if not witnesses or any(w not in supported for w in witnesses):
         return False
 
     if prop == AGREEMENT:
-        by_instance: dict[str, set[tuple]] = {}
-        for w in witnesses:
-            by_instance.setdefault(w["instance"], set()).add(
-                (w["replica"], _tuple_key(w["tuple"]))
-            )
-        shown = any(map(_diverged, by_instance.values()))
+        # The checker's own rule, over the commits the witnesses cite.
+        cited = [c for c in obs.correct_commits() if _cite(c, _AGREEMENT_FIELDS) in witnesses]
+        shown = check_agreement(replace(obs, commits=cited)) is not None
     elif prop == LIVENESS:
         shown = any("stuck_command" in w for w in witnesses) and any(
             "conflict" in w for w in witnesses

@@ -29,6 +29,9 @@ def json_field(data: Any, key: str, kind: type, optional: bool = False) -> Any:
     if not isinstance(data, dict):
         raise TypeError(f"expected an object holding {key!r}, got {type(data).__name__}")
     value = data.get(key)
+    # The common case first: the error text costs more than the check.
+    if isinstance(value, kind) and type(value) is not bool:
+        return value
     if value is None and optional:
         return None
     if value is None and key not in data:
@@ -112,18 +115,20 @@ def json_fields(value: Any) -> dict[str, Any]:
 
 
 def json_value(value: Any) -> Any:
-    """The JSON of one field value. None, str, int, bool and dict stay as
-    they are; an InstanceId becomes its text; a value with its own
-    ``to_json`` goes through that; a tuple becomes a list and a frozenset
-    the sorted list of its items."""
-    if value is None or isinstance(value, (str, int, dict)):
+    """The JSON of one value. None, str, int and bool stay as they are; a
+    dict keeps its keys and has each value written; an InstanceId becomes
+    its text; a value with its own ``to_json`` goes through that; a tuple
+    or list becomes a list and a frozenset the sorted list of its items."""
+    if value is None or isinstance(value, (str, int)):
         return value
+    if isinstance(value, dict):
+        return {key: json_value(item) for key, item in value.items()}
     if isinstance(value, InstanceId):
         return str(value)
     to_json = getattr(value, "to_json", None)
     if to_json is not None:
         return to_json()
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return [json_value(item) for item in value]
     if isinstance(value, frozenset):
         return [json_value(item) for item in sorted(value)]

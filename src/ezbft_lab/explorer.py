@@ -8,8 +8,9 @@ with a deterministic synchronous tail (deliver everything, let owner
 changes finish) that keeps only its effects, and checked; commit points
 are additionally checked mid-run. Each finding comes back as a
 machine-checkable report paired with a schedule minimized by greedy event
-elision that replays to the same report; a terminal's tail events are
-rebuilt, by replaying its path, only for a finding.
+elision that replays to the same report and whose traced replay verifies
+it; a terminal's tail events are rebuilt, by replaying its path, only for a
+finding.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ from .checkers import (
     Observations,
     ViolationReport,
     run_checkers,
+    verify_report,
 )
-from .client import SEQ_MODE_MAX, SEQ_MODES, SPECULATING, slow_quorum
+from .client import SEQ_MODE_MAX, SPECULATING, slow_quorum
 from .replica import SPECULATED
 from .core import (
     Config,
@@ -549,8 +551,6 @@ def explore(
         unknown = sorted(wanted - set(CHECKERS))
         if unknown:
             raise ValueError(f"unknown properties: {', '.join(unknown)}")
-    if seq_mode not in SEQ_MODES:
-        raise ValueError(f"unknown seq mode {seq_mode!r}")
     # No property leaves nothing to check, no request leaves nothing to
     # run, a faulty client without a request never acts, and a request to
     # no replica is never delivered: each would make a clean verdict vacuous.
@@ -570,10 +570,17 @@ def explore(
 
     def record(schedule: Schedule, report: ViolationReport) -> None:
         """Minimize and store one finding; the stored report is the one the
-        minimized schedule itself replays to. A finding whose schedule
-        does not replay to it is a lab bug, and ``minimize`` raises."""
+        minimized schedule itself replays to, and it must verify against
+        the observations of that schedule's traced replay. A finding whose
+        schedule does not replay to it, or whose report does not verify,
+        is a lab bug, and raises ExploreError."""
         if report.property not in found:
             minimized, final = minimize(schedule, report)
+            _sim, trace = run(minimized)
+            if not verify_report(final, Observations.from_trace(trace)):
+                raise ExploreError(
+                    f"the {final.property} report does not verify against its traced replay"
+                )
             found[report.property] = (final, minimized)
 
     memo = TransitionMemo()

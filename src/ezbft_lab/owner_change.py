@@ -10,7 +10,7 @@ instance stuck; that outcome is first-class here, not an exception path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from .core import (
@@ -187,8 +187,7 @@ def make_vote(state: ReplicaState, cfg: Config, instance: InstanceId) -> tuple[l
     """Emit this replica's vote to move the instance to the next owner."""
     target = state.next_vote(cfg, instance)
     if target is None:
-        return [], [{"type": "drop", "node": state.id, "reason": "already_voted",
-                     "instance": str(instance)}]
+        return [], [_drop(state.id, "already_voted", instance)]
     state.voted.add((instance, target))
     rec = state.log.get(instance)
     vote = OwnerChangeVote(
@@ -202,7 +201,7 @@ def make_vote(state: ReplicaState, cfg: Config, instance: InstanceId) -> tuple[l
     effect = {
         "type": "owner_change_vote",
         "replica": state.id,
-        "instance": str(instance),
+        "instance": instance,
         "owner_number": target,
     }
     return [(cfg.leader_at(target), vote)], [effect]
@@ -238,7 +237,8 @@ def issue_new_owner(
     selection = select_safe_tuple(votes, cfg)
     state.decisions[key] = selection
     effects: list[Effect] = [
-        {"type": "selection", "leader": state.id, **selection.to_json()}
+        {"type": "selection", "leader": state.id,
+         **{f.name: getattr(selection, f.name) for f in fields(Selection)}}
     ]
     if selection.outcome != SAFE:
         return [], effects
@@ -276,7 +276,7 @@ def on_new_owner(
         {
             "type": "new_owner_accept",
             "replica": state.id,
-            "instance": str(msg.instance),
+            "instance": msg.instance,
             "owner_number": msg.owner_number,
         }
     ]

@@ -1,8 +1,8 @@
 """Replica state machine: speculative ordering, commit validation, execution.
 
-Handlers mutate the given state and return ``(outputs, effects)`` where
-outputs are ``(recipient, payload)`` pairs (the harness wraps them in
-envelopes) and effects are trace records of what changed.
+Handlers mutate the given state and return ``(outputs, effects)``: outputs
+are ``(recipient, payload)`` pairs the harness wraps in envelopes, effects
+dicts of what changed that hold values; only ``Sim._record`` writes JSON.
 """
 
 from __future__ import annotations
@@ -280,7 +280,7 @@ def on_client_request(
     number = cfg.default_owner_number(instance)
     rec = InstanceRecord(instance, t, number, SPECULATED)
     effects: list[Effect] = [
-        {"type": "propose", "replica": state.id, "instance": str(instance), "tuple": t.to_json()}
+        {"type": "propose", "replica": state.id, "instance": instance, "tuple": t}
     ]
     effects += _store(state, cfg, rec)
     outputs: list[Output] = [
@@ -317,7 +317,7 @@ def on_spec_order(
     t = OrderingTuple(cmd, deps, seq)
     rec = InstanceRecord(msg.instance, t, msg.owner_number, SPECULATED)
     effects = [
-        {"type": "accept", "replica": state.id, "instance": str(msg.instance), "tuple": t.to_json()}
+        {"type": "accept", "replica": state.id, "instance": msg.instance, "tuple": t}
     ]
     effects += _store(state, cfg, rec)
     reply = SpecReply(state.id, msg.client, msg.instance, t, msg.owner_number, result_for(state, cmd))
@@ -385,8 +385,8 @@ def _commit(
         {
             "type": "commit",
             "replica": state.id,
-            "instance": str(instance),
-            "tuple": t.to_json(),
+            "instance": instance,
+            "tuple": t,
             "owner_number": number,
             "via": via,
         }
@@ -398,4 +398,4 @@ def _commit(
 
 
 def _drop(replica: str, reason: str, instance: InstanceId) -> Effect:
-    return {"type": "drop", "node": replica, "reason": reason, "instance": str(instance)}
+    return {"type": "drop", "node": replica, "reason": reason, "instance": instance}

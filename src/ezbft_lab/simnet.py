@@ -37,6 +37,7 @@ from .core import (
     json_field,
     json_fields,
     json_strings,
+    json_value,
     text_digest,
 )
 from .messages import ClientRequest, CommitReply, Envelope, SpecReply
@@ -240,33 +241,37 @@ def _malformed(what: str) -> Iterator[None]:
 def _check_record(record: Any) -> None:
     """Type-check the trace record fields that observations and checkers
     read: seq number, emitted ids, delivered message, and the commit,
-    selection and execute effects."""
-    json_field(record, "seq_no", int)
+    selection and execute effects, which ``observed_effect`` decodes."""
+    seq_no = json_field(record, "seq_no", int)
     for env in json_field(record, "emitted", list, optional=True) or []:
         json_field(env, "id", str)
     event = json_field(record, "event", dict, optional=True) or {}
     if json_field(event, "kind", str, optional=True) == DELIVER:
         json_field(event, "message", str)
     for eff in json_field(record, "effects", list, optional=True) or []:
-        kind = json_field(eff, "type", str, optional=True)
-        if kind == "commit":
-            for key in ("replica", "instance", "via"):
-                json_field(eff, key, str)
-            json_field(eff, "owner_number", int)
-            OrderingTuple.from_json(json_field(eff, "tuple", dict))
-        elif kind == "selection":
-            for key in ("leader", "instance"):
-                json_field(eff, key, str)
-            json_field(eff, "owner_number", int)
-            # A conflict names both certified tuples; other outcomes may not.
-            conflict = json_field(eff, "outcome", str) == owner_change.CONFLICT
-            for key in ("tuple", "second"):
-                value = json_field(eff, key, dict, optional=not conflict)
-                if value is not None:
-                    OrderingTuple.from_json(value)
-        elif kind == "execute":
-            json_field(eff, "replica", str)
-            json_strings(eff, "order")
+        observed_effect(eff, seq_no)
+
+
+def observed_effect(eff: Any, seq_no: int) -> dict[str, Any] | None:
+    """A traced commit or selection effect decoded into the record that
+    ``Sim._log_event`` logs, as far as checkers read it; an execute effect
+    into its replica and order; None for any other. Raises on a bad field."""
+    kind = json_field(eff, "type", str, optional=True)
+    if kind == "execute":
+        return {"type": kind, "replica": json_field(eff, "replica", str), "order": json_strings(eff, "order")}
+    if kind not in _LOGGED_TYPES:
+        return None
+    record = {"type": kind, "seq_no": seq_no}
+    for key in ("replica", "via") if kind == "commit" else ("leader", "outcome"):
+        record[key] = json_field(eff, key, str)
+    record["instance"] = InstanceId.parse(json_field(eff, "instance", str))
+    record["owner_number"] = json_field(eff, "owner_number", int)
+    # A commit names one tuple and a conflict two; other selections may not.
+    optional = kind == "selection" and record["outcome"] != owner_change.CONFLICT
+    for key in ("tuple",) if kind == "commit" else ("tuple", "second"):
+        value = json_field(eff, key, dict, optional=optional)
+        record[key] = None if value is None else OrderingTuple.from_json(value)
+    return record
 
 
 class _Step(NamedTuple):
@@ -427,6 +432,8 @@ class Sim:
         seq_mode: str = client_mod.SEQ_MODE_MAX,
         memo: TransitionMemo | None = None,
     ):
+        if seq_mode not in client_mod.SEQ_MODES:
+            raise ValueError(f"unknown seq mode {seq_mode!r}")
         self.cfg = cfg
         self.workload = workload
         self.record_trace = record_trace
@@ -442,7 +449,7 @@ class Sim:
         self.seq_no = 0
         self.tail_start: int | None = None
         self.records: list[dict[str, Any]] = []
-        # Cheap observation logs kept even with tracing off.
+        # Cheap observation logs, holding values, kept even with tracing off.
         self.commit_log: list[dict[str, Any]] = []
         self.selection_log: list[dict[str, Any]] = []
         self._memo = memo
@@ -690,23 +697,17 @@ class Sim:
         self, event: Event, emitted: list[Envelope], effects: Effects, logged: Effects
     ) -> dict[str, Any]:
         """Log an event's commit and selection effects, ``logged``, and
-        return its record, which carries the trace fields (and is
-        retained) only when tracing is on."""
-        effects = list(effects)
-        seq_no = self.seq_no
+        return its record. Only with tracing on is it retained and does it
+        carry the trace fields and the effects' JSON, written only here."""
+        traced = self.record_trace
+        effects = json_value(effects) if traced else list(effects)
+        record = {"seq_no": self.seq_no, "kind": event.kind, "effects": effects}
         self._log_event(logged)
-        if self.record_trace:
-            record = {
-                "seq_no": seq_no,
-                "kind": event.kind,
-                "event": event.to_json(),
-                "emitted": [json_fields(e) for e in emitted],
-                "effects": effects,
-                "digests": self.node_digests(),
-            }
+        if traced:
+            record["event"] = event.to_json()
+            record["emitted"] = [json_fields(e) for e in emitted]
+            record["digests"] = self.node_digests()
             self.records.append(record)
-        else:
-            record = {"seq_no": seq_no, "kind": event.kind, "effects": effects}
         return record
 
     def _log_event(self, logged: Effects) -> None:

@@ -108,9 +108,9 @@ def test_criterion_3_owner_change_dead_end_detected():
     scenario = build_scenario("liveness")
     conflict = scenario.sim.selection_log[-1]
     assert conflict["outcome"] == "conflict"
-    assert conflict["instance"] == "R.0" and conflict["owner_number"] == 1
-    assert conflict["tuple"]["deps"] == [] and conflict["tuple"]["seq"] == 1
-    assert conflict["second"]["deps"] == ["T.0"] and conflict["second"]["seq"] == 2
+    assert conflict["instance"] == InstanceId("R", 0) and conflict["owner_number"] == 1
+    assert conflict["tuple"].deps == frozenset() and conflict["tuple"].seq == 1
+    assert conflict["second"].deps == {InstanceId("T", 0)} and conflict["second"].seq == 2
 
     liveness = check_liveness(Observations.from_sim(scenario.sim))
     assert liveness is not None

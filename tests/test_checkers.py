@@ -16,6 +16,10 @@ from ezbft_lab.adversary import (
     FaultyClientChoice,
 )
 from ezbft_lab.checkers import (
+    _AGREEMENT_FIELDS,
+    _CONFLICT_FIELDS,
+    _PAIR_FIELDS,
+    _VALIDITY_FIELDS,
     CHECKER_ORDER,
     Observations,
     PreconditionUnmet,
@@ -47,12 +51,16 @@ from ezbft_lab.simnet import (
 from shared import FAULT_CONFIGS, two_commands
 
 
+def _tuple(cmd, deps, seq):
+    return OrderingTuple(cmd, frozenset(InstanceId.parse(d) for d in deps), seq)
+
+
 def _commit(replica, instance, cmd, deps, seq, seq_no=0):
     return {
         "type": "commit",
         "replica": replica,
-        "instance": instance,
-        "tuple": {"command": cmd.to_json(), "deps": sorted(deps), "seq": seq},
+        "instance": InstanceId.parse(instance),
+        "tuple": _tuple(cmd, deps, seq),
         "owner_number": 0,
         "via": "fast",
         "seq_no": seq_no,
@@ -71,11 +79,32 @@ def _obs(cfg, workload, commits, selections=(), executed=None, tail_start=None, 
     )
 
 
+# Every commit and selection field a checker or a witness reads.
+_COMMIT_READ = ("seq_no",) + _AGREEMENT_FIELDS + _VALIDITY_FIELDS + _PAIR_FIELDS
+_SELECTION_READ = ("outcome", "seq_no") + _CONFLICT_FIELDS
+
+
+def _assert_same_observations(from_sim, from_trace):
+    """The two extraction paths agree on every record field the checkers
+    read, value for value, and on each replica's final execution order."""
+    for records, fields in (("commits", _COMMIT_READ), ("selections", _SELECTION_READ)):
+        read = [
+            [{key: record[key] for key in fields} for record in getattr(obs, records)]
+            for obs in (from_sim, from_trace)
+        ]
+        assert read[0] == read[1], records
+    for replica in from_sim.config.replica_ids:
+        executed = [obs.final_executed.get(replica, []) for obs in (from_sim, from_trace)]
+        assert executed[0] == executed[1], replica
+
+
 def test_scenario_observations_match_between_sim_and_trace():
     for name in ("safety", "exec-consistency", "liveness"):
         scenario = build_scenario(name)
         from_sim = Observations.from_sim(scenario.sim)
         from_trace = Observations.from_trace(scenario.trace)
+        _assert_same_observations(from_sim, from_trace)
+        assert from_sim.commits and from_sim.final_executed
         sim_reports, sim_notes = run_checkers(from_sim)
         trace_reports, trace_notes = run_checkers(from_trace)
         assert [r.to_json() for r in sim_reports] == [r.to_json() for r in trace_reports]
@@ -220,16 +249,17 @@ def test_execution_consistency_flags_unconstrained_pairs(cfg, cmd_a, cmd_b):
 
 
 def _conflict_selection(seq_no, leader="L"):
+    cmd = Command("a", "c1", "k", "va")
     return {
         "type": "selection",
         "leader": leader,
         "outcome": "conflict",
-        "instance": "R.0",
+        "instance": InstanceId("R", 0),
         "owner_number": 1,
-        "tuple": {"command": {"id": "a", "client": "c1", "key": "k", "payload": "va"}, "deps": [], "seq": 1},
-        "second": {"command": {"id": "a", "client": "c1", "key": "k", "payload": "va"}, "deps": ["T.0"], "seq": 2},
+        "tuple": _tuple(cmd, [], 1),
+        "second": _tuple(cmd, ["T.0"], 2),
         "condition": None,
-        "candidates": [],
+        "candidates": (),
         "seq_no": seq_no,
     }
 
@@ -420,8 +450,13 @@ def test_verify_report_checks_pair_witnesses(cfg, cmd_a, cmd_b):
         _commit("R", "Q.0", other, [], 1),
     ])
     non_interfering = tuple(
-        {key: c[key] for key in ("replica", "instance", "tuple", "seq_no")}
-        | {"command": c["tuple"]["command"]["id"]}
+        {
+            "command": c["tuple"].command.id,
+            "replica": c["replica"],
+            "instance": str(c["instance"]),
+            "tuple": c["tuple"].to_json(),
+            "seq_no": c["seq_no"],
+        }
         for c in apart.commits
     )
     forged = ViolationReport("dependency_inclusion", non_interfering, (0, 0), "")
@@ -639,6 +674,7 @@ def test_every_walk_report_verifies_against_its_traced_replay(name):
         reports, _notes = run_checkers(Observations.from_sim(sim))
         _replayed, trace = run(schedule, record_trace=True)
         obs = Observations.from_trace(trace)
+        _assert_same_observations(Observations.from_sim(sim), obs)
         for report in reports:
             assert verify_report(report, obs), (name, seed, report.to_json())
             found.add(report.property)

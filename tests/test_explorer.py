@@ -5,6 +5,7 @@ divergence) live in the acceptance suite; these tests pin the fast cases
 and the minimizer's contract.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -14,6 +15,7 @@ import sys
 import pytest
 
 import ezbft_lab
+from ezbft_lab import checkers
 from ezbft_lab.checkers import Observations, run_checkers
 from ezbft_lab.core import Command, Config, canonical_json
 from ezbft_lab.explorer import (
@@ -106,6 +108,25 @@ def test_explore_rejects_an_unknown_seq_mode_before_it_searches():
     bounds = ExploreBounds(workload=two_commands("Q"), max_events=3)
     with pytest.raises(ValueError, match="unknown seq mode 'bogus'"):
         explore(CORRECT, bounds, seq_mode="bogus")
+
+
+def test_explore_refuses_a_finding_whose_report_does_not_verify(monkeypatch):
+    """A checker that cites a commit no replica made finds the violation,
+    but its traced replay does not confirm the report: the search raises
+    instead of returning the finding."""
+    check = checkers.CHECKERS["execution_consistency"]
+
+    def wrong_witness(obs):
+        report = check(obs)
+        if report is None:
+            return None
+        first = {**report.witnesses[0], "replica": "Z"}
+        return dataclasses.replace(report, witnesses=(first,) + report.witnesses[1:])
+
+    monkeypatch.setitem(checkers.CHECKERS, "execution_consistency", wrong_witness)
+    bounds = ExploreBounds(workload=two_commands("Q"), max_events=5)
+    with pytest.raises(ExploreError, match="execution_consistency report does not verify"):
+        explore(CORRECT, bounds, ["execution_consistency"])
 
 
 def test_explore_honest_small_run_is_clean_and_exhausted():

@@ -88,13 +88,17 @@ def test_safety_commit_shape():
     """One replica finalizes the bare tuple on the fast path while two others
     install the extended tuple through an owner change."""
     run = build_scenario("safety")
-    commits = {(c["replica"], c["via"]): c for c in run.sim.commit_log if c["instance"] == "R.0"}
-    assert commits[("R", "fast")]["tuple"]["deps"] == []
-    assert commits[("R", "fast")]["tuple"]["seq"] == 1
+    commits = {
+        (c["replica"], c["via"]): c
+        for c in run.sim.commit_log
+        if c["instance"] == InstanceId("R", 0)
+    }
+    assert commits[("R", "fast")]["tuple"].deps == frozenset()
+    assert commits[("R", "fast")]["tuple"].seq == 1
     for replica in ("L", "Q"):
         entry = commits[(replica, "new_owner")]
-        assert entry["tuple"]["deps"] == ["T.0"]
-        assert entry["tuple"]["seq"] == 2
+        assert entry["tuple"].deps == {InstanceId("T", 0)}
+        assert entry["tuple"].seq == 2
         assert entry["owner_number"] == 1
     assert run.sim.cfg.byzantine_ids == {"T"}
     assert run.sim.cfg.faulty_client_ids == {"c1"}
@@ -111,9 +115,9 @@ def test_liveness_final_selection_is_a_certified_conflict():
     run = build_scenario("liveness")
     last = run.sim.selection_log[-1]
     assert last["outcome"] == "conflict"
-    assert last["instance"] == "R.0" and last["owner_number"] == 1
-    assert last["tuple"]["deps"] == [] and last["tuple"]["seq"] == 1
-    assert last["second"]["deps"] == ["T.0"] and last["second"]["seq"] == 2
+    assert last["instance"] == InstanceId("R", 0) and last["owner_number"] == 1
+    assert last["tuple"].deps == frozenset() and last["tuple"].seq == 1
+    assert last["second"].deps == {InstanceId("T", 0)} and last["second"].seq == 2
     assert last["seq_no"] >= run.schedule.tail_start
 
 

@@ -17,7 +17,7 @@ import random
 import pytest
 
 from ezbft_lab import simnet
-from ezbft_lab.core import canonical_json
+from ezbft_lab.core import canonical_json, json_value
 from ezbft_lab.explorer import (
     ExploreBounds,
     _state_key,
@@ -51,7 +51,7 @@ def _step_both(fast, plain, event):
 
 def _fixed(step):
     """What must never change about a stored step."""
-    return step.before.value(), step.after.value(), canonical_json(list(step.effects))
+    return step.before.value(), step.after.value(), canonical_json(json_value(step.effects))
 
 
 def _collect(memo, stored):

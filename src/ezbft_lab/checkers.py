@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Collection, Iterable, Mapping
 
-from .core import Config, InstanceId, OrderingTuple, interferes, json_fields, json_value
+from .core import Config, InstanceId, OrderingTuple, interferes, json_field, json_fields, json_value
 from .owner_change import CONFLICT
-from .simnet import DELIVER, Sim, Trace, WorkItem, observed_effect
+from .simnet import DELIVER, Sim, Trace, WorkItem, malformed, observed_effect
 
 AGREEMENT = "agreement"
 VALIDITY = "validity"
@@ -91,6 +91,10 @@ class Observations:
 
     @staticmethod
     def from_trace(trace: Trace) -> "Observations":
+        """The one reader of trace records. Raises ScheduleError when a
+        record misses a field the checkers read (seq number, emitted ids,
+        delivered message, commit, selection and execute effects), or
+        holds it with the wrong type."""
         schedule = trace.schedule
         commits: list[dict[str, Any]] = []
         selections: list[dict[str, Any]] = []
@@ -102,19 +106,20 @@ class Observations:
             count = counters.get(item.client, 0)
             counters[item.client] = count + 1
             emitted.add(f"{item.client}#{count}")
-        for record in trace.records:
-            seq_no = record["seq_no"]
-            for env in record.get("emitted") or []:
-                emitted.add(env["id"])
-            event = record.get("event") or {}
-            if event.get("kind") == DELIVER:
-                delivered.add(event["message"])
-            for eff in record.get("effects") or []:
-                observed = observed_effect(eff, seq_no) or {}
-                if observed.get("type") == "execute":
-                    final_executed[observed["replica"]] = observed["order"]
-                elif observed:
-                    (commits if observed["type"] == "commit" else selections).append(observed)
+        with malformed("trace"):
+            for record in trace.records:
+                seq_no = json_field(record, "seq_no", int)
+                for env in json_field(record, "emitted", list, optional=True) or []:
+                    emitted.add(json_field(env, "id", str))
+                event = json_field(record, "event", dict, optional=True) or {}
+                if json_field(event, "kind", str, optional=True) == DELIVER:
+                    delivered.add(json_field(event, "message", str))
+                for eff in json_field(record, "effects", list, optional=True) or []:
+                    observed = observed_effect(eff, seq_no) or {}
+                    if observed.get("type") == "execute":
+                        final_executed[observed["replica"]] = observed["order"]
+                    elif observed:
+                        (commits if observed["type"] == "commit" else selections).append(observed)
         return Observations(
             config=schedule.config,
             workload=schedule.workload,

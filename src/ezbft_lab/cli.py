@@ -14,7 +14,6 @@ import sys
 from typing import Any, Sequence
 
 from .checkers import CHECKER_ORDER, Observations, run_checkers
-from .client import SEQ_MODE_MAX, SEQ_MODES
 from .core import Command, Config
 from .explorer import ExploreBounds, ExploreError, explore
 from .scenarios import (
@@ -61,13 +60,13 @@ def _replica_names(spec: str) -> tuple[str, ...]:
     return names
 
 
-def _build_workload(
-    cfg: Config, count: int, key: str, targets: tuple[str, ...]
-) -> tuple[WorkItem, ...]:
-    """One command per client c1..cN, all on one key. Default targets: the
-    first command goes to the first replica; the second goes to the first
-    byzantine replica when one exists (so its request can be swallowed),
-    else to the third replica; later ones round-robin, two replicas apart."""
+def _build_workload(cfg: Config, count: int, targets: tuple[str, ...]) -> tuple[WorkItem, ...]:
+    """One command per client c1..cN, all on key ``k``: every pair
+    interferes, so no other key name could change a verdict. Default
+    targets: the first command goes to the first replica; the second goes
+    to the first byzantine replica when one exists (so its request can be
+    swallowed), else to the third replica; later ones round-robin, two
+    replicas apart."""
     if count < 1:
         raise ValueError("--commands must be at least 1")
     if count > len(_COMMAND_NAMES):
@@ -88,7 +87,7 @@ def _build_workload(
             target = byz[0]
         else:
             target = cfg.replica_ids[(2 * i) % cfg.n]
-        items.append(WorkItem(client, Command(name, client, key, f"v{name}"), target))
+        items.append(WorkItem(client, Command(name, client, "k", f"v{name}"), target))
     return tuple(items)
 
 
@@ -137,7 +136,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         byzantine_ids=frozenset(_parse_csv(args.byzantine)),
         faulty_client_ids=frozenset(_parse_csv(args.faulty_clients)),
     )
-    workload = _build_workload(cfg, args.commands, args.key, _parse_csv(args.targets))
+    workload = _build_workload(cfg, args.commands, _parse_csv(args.targets))
     bounds = ExploreBounds(
         workload=workload,
         max_events=args.max_events,
@@ -146,7 +145,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         max_states=args.max_states,
     )
     properties = _parse_properties(args.properties)
-    result = explore(cfg, bounds, properties=properties, seq_mode=args.seq_mode)
+    result = explore(cfg, bounds, properties=properties)
 
     print(
         f"states visited {result.states_visited}, deduplicated {result.states_deduped}, "
@@ -245,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_explore.add_argument(
         "--commands", type=int, default=2, help="number of single-key commands (default 2)"
     )
-    p_explore.add_argument("--key", default="k", help="shared command key (default k)")
     p_explore.add_argument(
         "--targets",
         default="",
@@ -273,12 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_explore.add_argument(
         "--properties",
         help=f"comma-separated properties to search for (default: all of {','.join(CHECKER_ORDER)})",
-    )
-    p_explore.add_argument(
-        "--seq-mode",
-        choices=SEQ_MODES,
-        default=SEQ_MODE_MAX,
-        help="slow-path sequence aggregation used by clients",
     )
     p_explore.add_argument("--out", help="directory for result.json and schedule files")
     p_explore.set_defaults(handler=_cmd_explore)

@@ -32,11 +32,6 @@ SPECULATING = "speculating"
 FINALIZING = "finalizing"
 COMPLETE = "complete"
 
-SEQ_MODE_MAX = "max"
-SEQ_MODE_RECOMPUTE = "recompute"
-# Every slow-path sequence aggregation a schedule, the CLI or a search may name.
-SEQ_MODES = (SEQ_MODE_MAX, SEQ_MODE_RECOMPUTE)
-
 Output = tuple[str, Any]
 Effect = dict[str, Any]
 
@@ -227,10 +222,11 @@ def on_spec_reply(
 
 
 def on_timeout(
-    state: ClientState, cfg: Config, command_id: str, seq_mode: str = SEQ_MODE_MAX
+    state: ClientState, cfg: Config, command_id: str
 ) -> tuple[list[Output], list[Effect]]:
     """Fall back to the slow path: package every recorded reply, commit to
-    the dep union, and wait for commit replies. Too few replies re-arm."""
+    the union of their deps at the highest seq any of them reports, and wait
+    for commit replies. Too few replies re-arm."""
     req = state.request_for(command_id)
     if req is None:
         return [], [_drop(state.id, "timeout_for_unknown_request")]
@@ -244,15 +240,7 @@ def on_timeout(
     deps: set[InstanceId] = set()
     for r in usable:
         deps |= r.tuple.deps
-    if seq_mode == SEQ_MODE_MAX:
-        seq = max(r.tuple.seq for r in usable)
-    elif seq_mode == SEQ_MODE_RECOMPUTE:
-        # Without the dep tuples themselves, the tightest consistent read of
-        # the evidence is: a reply with deps claims a seq one past its
-        # highest dep, so dep-less replies do not lift the result.
-        seq = max((r.tuple.seq for r in usable if r.tuple.deps), default=1)
-    else:
-        raise ValueError(f"unknown seq mode {seq_mode!r}")
+    seq = max(r.tuple.seq for r in usable)
     t = OrderingTuple(req.command, frozenset(deps), seq)
     cert = CommitCertificate("slow", tuple(sorted(usable, key=lambda r: r.sender)))
     req.phase = FINALIZING

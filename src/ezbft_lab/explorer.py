@@ -35,7 +35,7 @@ from .checkers import (
     run_checkers,
     verify_report,
 )
-from .client import SEQ_MODE_MAX, SPECULATING, slow_quorum
+from .client import SPECULATING, slow_quorum
 from .replica import SPECULATED
 from .core import (
     Config,
@@ -531,17 +531,16 @@ def explore(
     config: Config,
     bounds: ExploreBounds,
     properties: Iterable[str] | None = None,
-    seq_mode: str = SEQ_MODE_MAX,
 ) -> ExploreResult:
     """Depth-first enumeration of every schedule within ``bounds``,
     checking the requested properties (default: all). States already seen
     at an equal or shallower depth are pruned by state key. The
     search stops early once every requested property has a finding; it
     reports exhausted=True only when the full bounded space was covered.
-    Raises ValueError for an unknown property or seq mode, an empty
-    property list, an empty workload, a faulty client without a workload
-    item, a workload target that is not a replica or a workload client
-    whose id is a replica's."""
+    Raises ValueError for an unknown property, an empty property list, an
+    empty workload, a faulty client without a workload item, a workload
+    target that is not a replica or a workload client whose id is a
+    replica's."""
     start = time.monotonic()
     wanted = None if properties is None else set(properties)
     requested = (
@@ -584,7 +583,7 @@ def explore(
             found[report.property] = (final, minimized)
 
     memo = TransitionMemo()
-    root = Sim(config, bounds.workload, record_trace=False, seq_mode=seq_mode, memo=memo)
+    root = Sim(config, bounds.workload, record_trace=False, memo=memo)
     seen: dict[int, int] = {_state_key(root, frozenset()): 0}
     # Each entry: the path to a state, the faulty clients that acted on it
     # and the state.
@@ -610,7 +609,7 @@ def explore(
             if fresh:
                 # Rebuild the tail's events only for a new finding, by
                 # replaying the path without the memo.
-                schedule = Schedule(config, bounds.workload, events, seq_mode=seq_mode)
+                schedule = Schedule(config, bounds.workload, events)
                 tail = extend_with_tail(run(schedule, record_trace=False)[0], bounds)
                 schedule = replace(schedule, events=events + tuple(tail), tail_start=len(events))
                 for report in fresh:
@@ -629,10 +628,7 @@ def explore(
             if cheap and len(child.commit_log) > len(sim.commit_log):
                 reports, _notes = run_checkers(Observations.from_sim(child), cheap)
                 for report in reports:
-                    record(
-                        Schedule(config, bounds.workload, path, tail_start=None, seq_mode=seq_mode),
-                        report,
-                    )
+                    record(Schedule(config, bounds.workload, path), report)
             child_acted = acted
             if move.kind == ADVERSARY and move.node in config.faulty_client_ids:
                 child_acted = acted | {move.node}

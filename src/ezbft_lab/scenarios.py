@@ -91,8 +91,8 @@ class ScheduleBuilder:
     trace.
     """
 
-    def __init__(self, cfg: Config, workload: tuple[WorkItem, ...], seq_mode: str = "max"):
-        self.sim = Sim(cfg, workload, record_trace=True, seq_mode=seq_mode)
+    def __init__(self, cfg: Config, workload: tuple[WorkItem, ...]):
+        self.sim = Sim(cfg, workload, record_trace=True)
         self.events: list[Event] = []
 
     def _apply(self, event: Event) -> dict:
@@ -163,7 +163,7 @@ class ScheduleBuilder:
 
     def schedule(self) -> Schedule:
         sim = self.sim
-        return Schedule(sim.cfg, sim.workload, tuple(self.events), sim.tail_start, sim.seq_mode)
+        return Schedule(sim.cfg, sim.workload, tuple(self.events), sim.tail_start)
 
 
 @dataclass

@@ -49,6 +49,11 @@ TIMEOUT = "timeout"
 TRIGGER_OWNER_CHANGE = "trigger_owner_change"
 ADVERSARY = "adversary"
 
+# The slow-path rule every schedule file names: the union of the reported
+# deps at the highest reported seq. A file naming any other rule is refused,
+# not replayed under this one.
+SEQ_MODE = "max"
+
 DRAIN_CAP = 10_000
 # Handler steps a TransitionMemo holds before it starts over.
 MEMO_CAP = 512
@@ -149,23 +154,22 @@ class Schedule:
     workload: tuple[WorkItem, ...]
     events: tuple[Event, ...]
     tail_start: int | None = None
-    seq_mode: str = client_mod.SEQ_MODE_MAX
 
-    to_json = json_fields
+    def to_json(self) -> dict[str, Any]:
+        return {**json_fields(self), "seq_mode": SEQ_MODE}
 
     @staticmethod
     def from_json(data: Mapping[str, Any]) -> "Schedule":
         """Raises ScheduleError when a field is missing or ill-typed."""
-        with _malformed("schedule"):
-            seq_mode = json_field(data, "seq_mode", str, optional=True) or client_mod.SEQ_MODE_MAX
-            if seq_mode not in client_mod.SEQ_MODES:
+        with malformed("schedule"):
+            seq_mode = json_field(data, "seq_mode", str, optional=True)
+            if seq_mode not in (None, SEQ_MODE):
                 raise ValueError(f"unknown seq mode {seq_mode!r}")
             schedule = Schedule(
                 config=Config.from_json(json_field(data, "config", dict)),
                 workload=tuple(WorkItem.from_json(w) for w in json_field(data, "workload", list)),
                 events=tuple(Event.from_json(e) for e in json_field(data, "events", list)),
                 tail_start=json_field(data, "tail_start", int, optional=True),
-                seq_mode=seq_mode,
             )
             # The tail is a suffix of the events, empty when it starts at
             # their end.
@@ -213,22 +217,21 @@ class Trace:
 
     @staticmethod
     def read(path: str) -> "Trace":
-        """Raises ScheduleError when the header or a record misses a field
-        the checkers read, or holds it with the wrong type."""
+        """Raises ScheduleError when a line is not JSON or the header is
+        malformed. The records are checked as they are decoded, by
+        ``Observations.from_trace``."""
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln for ln in fh.read().splitlines() if ln.strip()]
         if not lines:
             raise ScheduleError("empty trace file")
-        with _malformed("trace"):
+        with malformed("trace"):
             schedule = Schedule.from_json(json_field(json.loads(lines[0]), "schedule", dict))
             records = [json.loads(ln) for ln in lines[1:]]
-            for record in records:
-                _check_record(record)
         return Trace(schedule, records)
 
 
 @contextmanager
-def _malformed(what: str) -> Iterator[None]:
+def malformed(what: str) -> Iterator[None]:
     """Report a missing or ill-typed field as a ScheduleError."""
     try:
         yield
@@ -236,20 +239,6 @@ def _malformed(what: str) -> Iterator[None]:
         raise ScheduleError(f"malformed {what}: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ScheduleError(f"malformed {what}: {exc}") from exc
-
-
-def _check_record(record: Any) -> None:
-    """Type-check the trace record fields that observations and checkers
-    read: seq number, emitted ids, delivered message, and the commit,
-    selection and execute effects, which ``observed_effect`` decodes."""
-    seq_no = json_field(record, "seq_no", int)
-    for env in json_field(record, "emitted", list, optional=True) or []:
-        json_field(env, "id", str)
-    event = json_field(record, "event", dict, optional=True) or {}
-    if json_field(event, "kind", str, optional=True) == DELIVER:
-        json_field(event, "message", str)
-    for eff in json_field(record, "effects", list, optional=True) or []:
-        observed_effect(eff, seq_no)
 
 
 def observed_effect(eff: Any, seq_no: int) -> dict[str, Any] | None:
@@ -429,15 +418,11 @@ class Sim:
         cfg: Config,
         workload: tuple[WorkItem, ...],
         record_trace: bool = False,
-        seq_mode: str = client_mod.SEQ_MODE_MAX,
         memo: TransitionMemo | None = None,
     ):
-        if seq_mode not in client_mod.SEQ_MODES:
-            raise ValueError(f"unknown seq mode {seq_mode!r}")
         self.cfg = cfg
         self.workload = workload
         self.record_trace = record_trace
-        self.seq_mode = seq_mode
         self.replicas: dict[str, ReplicaState] = {r: ReplicaState(r) for r in cfg.replica_ids}
         self.clients: dict[str, ClientState] = {}
         # Undelivered envelopes in emission order, and the sum mod 2**64 of
@@ -472,7 +457,6 @@ class Sim:
         twin.cfg = self.cfg
         twin.workload = self.workload
         twin.record_trace = self.record_trace
-        twin.seq_mode = self.seq_mode
         twin.replicas = dict(self.replicas)
         twin.clients = dict(self.clients)
         twin._pending = dict(self._pending)
@@ -725,8 +709,8 @@ class Sim:
         if event.client in self.cfg.faulty_client_ids:
             raise ScheduleError("timeouts fire only for correct clients")
         return self._step(
-            event.client, (TIMEOUT, event.command, self.seq_mode), None,
-            client_mod.on_timeout, self.cfg, event.command, self.seq_mode,
+            event.client, (TIMEOUT, event.command), None,
+            client_mod.on_timeout, self.cfg, event.command,
         )
 
     def _apply_trigger(
@@ -851,7 +835,7 @@ def _multiset(items: Iterable[Any]) -> frozenset:
 def run(schedule: Schedule, record_trace: bool = True) -> tuple[Sim, Trace]:
     """Replay a schedule from scratch. Deterministic: equal schedules give
     byte-identical traces."""
-    sim = Sim(schedule.config, schedule.workload, record_trace, schedule.seq_mode)
+    sim = Sim(schedule.config, schedule.workload, record_trace)
     sim.tail_start = schedule.tail_start
     for event in schedule.events:
         sim.apply(event)

@@ -212,6 +212,21 @@ def test_replay_of_a_malformed_schedule_is_an_error(tmp_path, capsys, content, f
     assert err.startswith("error: malformed schedule") and field in err
 
 
+def test_replay_of_a_schedule_for_another_slow_path_rule_is_an_error(tmp_path, capsys):
+    """The slow path has one rule, ``max``: a schedule written for another
+    rule could hold byzantine branches that rule reads differently, so it
+    is refused rather than replayed under ``max``."""
+    data = build_scenario("safety").schedule.to_json()
+    assert data["seq_mode"] == "max"
+    data["seq_mode"] = "recompute"
+    schedule = tmp_path / "bad.schedule.json"
+    schedule.write_text(json.dumps(data))
+    assert main(["replay", str(schedule)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: malformed schedule: unknown seq mode 'recompute'\n"
+    assert captured.out == ""
+
+
 def test_replay_of_a_certificate_holding_another_payload_kind_is_an_error(tmp_path, capsys):
     """A certificate packages spec replies only; a commit reply with all its
     fields in their place is refused when the schedule is read."""
@@ -345,6 +360,15 @@ def _replace_at(value, path, new):
     return copy
 
 
+def _assert_no_traceback(argv):
+    """``main(argv)`` exits 0, 1 or 2, and 1 exactly when it prints
+    ``error: ...``."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert (code == 1) == err.getvalue().startswith("error: ")
+
+
 GOLDEN = build_scenario("safety").schedule.to_json()
 
 
@@ -365,7 +389,25 @@ def test_replay_never_escapes_with_a_traceback(tmp_path_factory, content):
     arbitrary JSON, either replays or fails with ``error: ...`` and 1."""
     schedule = tmp_path_factory.mktemp("fuzz") / "schedule.json"
     schedule.write_text(json.dumps(content))
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
-        code = main(["replay", str(schedule)])
-    assert code in (0, 1, 2)
-    assert (code == 1) == err.getvalue().startswith("error: ")
+    _assert_no_traceback(["replay", str(schedule)])
+
+
+GOLDEN_TRACE = [json.loads(line) for line in build_scenario("safety").trace.lines()]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.builds(
+        _replace_at,
+        st.just(GOLDEN_TRACE),
+        st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=8),
+        JSON,
+    )
+)
+def test_check_never_escapes_with_a_traceback(tmp_path_factory, lines):
+    """The safety trace with one node of its header or of a record
+    replaced by arbitrary JSON either checks or fails with ``error: ...``
+    and 1."""
+    trace = tmp_path_factory.mktemp("fuzz") / "trace.jsonl"
+    trace.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    _assert_no_traceback(["check", str(trace)])

@@ -5,8 +5,6 @@ import pytest
 from ezbft_lab.client import (
     COMPLETE,
     FINALIZING,
-    SEQ_MODE_MAX,
-    SEQ_MODE_RECOMPUTE,
     SPECULATING,
     ClientState,
     new_request,
@@ -61,7 +59,7 @@ def test_timeout_commits_dep_union_and_seq_max(cfg, cmd_a, bare, ext):
     on_spec_reply(state, cfg, _reply("L", inst, ext))
     on_spec_reply(state, cfg, _reply("Q", inst, bare))
 
-    outputs, _effects = on_timeout(state, cfg, "a", SEQ_MODE_MAX)
+    outputs, _effects = on_timeout(state, cfg, "a")
     assert [r for r, _ in outputs] == list(cfg.replica_ids)
     commit = outputs[0][1]
     assert isinstance(commit, Commit)
@@ -73,24 +71,19 @@ def test_timeout_commits_dep_union_and_seq_max(cfg, cmd_a, bare, ext):
     assert not state.requests["a"].timer_armed
 
 
-def test_timeout_seq_modes_differ_on_inflated_bare_replies(cfg, cmd_a):
+def test_slow_path_takes_the_highest_reported_seq(cfg, cmd_a):
+    """A reply with no deps still lifts the committed seq: the slow path
+    takes the highest seq any reply reports, not one derived from deps."""
     inst = InstanceId("R", 0)
     inflated = OrderingTuple(cmd_a, frozenset(), 5)
     with_dep = OrderingTuple(cmd_a, frozenset({InstanceId("L", 0)}), 2)
     plain = OrderingTuple(cmd_a, frozenset(), 1)
 
-    by_max = _client(cmd_a)
+    state = _client(cmd_a)
     for sender, t in (("R", inflated), ("L", with_dep), ("Q", plain)):
-        on_spec_reply(by_max, cfg, _reply(sender, inst, t))
-    outputs, _ = on_timeout(by_max, cfg, "a", SEQ_MODE_MAX)
+        on_spec_reply(state, cfg, _reply(sender, inst, t))
+    outputs, _ = on_timeout(state, cfg, "a")
     assert outputs[0][1].tuple.seq == 5
-
-    recomputed = _client(cmd_a)
-    for sender, t in (("R", inflated), ("L", with_dep), ("Q", plain)):
-        on_spec_reply(recomputed, cfg, _reply(sender, inst, t))
-    outputs, _ = on_timeout(recomputed, cfg, "a", SEQ_MODE_RECOMPUTE)
-    # Dep-less replies no longer lift the result; the dep-bearing claim does.
-    assert outputs[0][1].tuple.seq == 2
 
 
 def test_timeout_with_too_few_replies_rearms(cfg, cmd_a, bare):
@@ -98,7 +91,7 @@ def test_timeout_with_too_few_replies_rearms(cfg, cmd_a, bare):
     inst = InstanceId("R", 0)
     on_spec_reply(state, cfg, _reply("R", inst, bare))
     on_spec_reply(state, cfg, _reply("L", inst, bare))
-    outputs, effects = on_timeout(state, cfg, "a", SEQ_MODE_MAX)
+    outputs, effects = on_timeout(state, cfg, "a")
     assert outputs == []
     assert effects[0]["type"] == "timer_rearmed"
     assert state.requests["a"].phase == SPECULATING
@@ -110,7 +103,7 @@ def test_timeout_needs_quorum_at_a_single_instance(cfg, cmd_a, bare):
     on_spec_reply(state, cfg, _reply("R", InstanceId("R", 0), bare))
     on_spec_reply(state, cfg, _reply("L", InstanceId("R", 0), bare))
     on_spec_reply(state, cfg, _reply("Q", InstanceId("T", 0), other))
-    outputs, effects = on_timeout(state, cfg, "a", SEQ_MODE_MAX)
+    outputs, effects = on_timeout(state, cfg, "a")
     assert outputs == [] and effects[0]["type"] == "timer_rearmed"
 
 
@@ -144,7 +137,7 @@ def test_stray_messages_are_dropped_with_reasons(cfg, cmd_a, bare):
     state.requests["a"].phase = COMPLETE
     _, effects = on_spec_reply(state, cfg, _reply("R", inst, bare))
     assert effects[0]["reason"] == "reply_after_speculation_ended"
-    _, effects = on_timeout(state, cfg, "zzz", SEQ_MODE_MAX)
+    _, effects = on_timeout(state, cfg, "zzz")
     assert effects[0]["reason"] == "timeout_for_unknown_request"
     _, effects = on_commit_reply(state, cfg, CommitReply("R", "c1", inst, bare, "va"))
     assert effects[0]["reason"] == "commit_reply_after_completion"

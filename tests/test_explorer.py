@@ -102,14 +102,6 @@ def test_explore_reads_a_one_shot_property_iterable_once():
     assert result.found_properties() == ("execution_consistency",)
 
 
-def test_explore_rejects_an_unknown_seq_mode_before_it_searches():
-    """A search this shallow fires no timeout, so the mode is never used:
-    without the check up front it would end "exhausted, clean"."""
-    bounds = ExploreBounds(workload=two_commands("Q"), max_events=3)
-    with pytest.raises(ValueError, match="unknown seq mode 'bogus'"):
-        explore(CORRECT, bounds, seq_mode="bogus")
-
-
 def test_explore_refuses_a_finding_whose_report_does_not_verify(monkeypatch):
     """A checker that cites a commit no replica made finds the violation,
     but its traced replay does not confirm the report: the search raises
@@ -317,7 +309,6 @@ def test_minimize_strips_padding():
         sched.workload,
         sched.events + (Event(DELIVER, message=pending[0]),),
         sched.tail_start,
-        sched.seq_mode,
     )
     minimized, final = minimize(padded, report)
     assert len(minimized.events) < len(padded.events)

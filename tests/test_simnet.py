@@ -97,10 +97,6 @@ def test_event_json_round_trip(bare, ext):
 
 def test_delivery_rule_violations_raise(byz_cfg, cmd_a, cmd_b):
     workload = _workload(("c1", cmd_a, "R"), ("c2", cmd_b, "Q"))
-    # A seq mode no client knows is refused when the Sim is built, not at
-    # the first slow-path timeout.
-    with pytest.raises(ValueError, match="unknown seq mode 'bogus'"):
-        Sim(byz_cfg, workload, seq_mode="bogus")
     sim = Sim(byz_cfg, workload)
 
     with pytest.raises(ScheduleError):

@@ -400,7 +400,7 @@ def test_state_texts_of_the_goldens_equal_their_reference_dicts():
     checked = 0
     for name in SCENARIO_NAMES:
         schedule = Schedule.from_json(json.loads(golden_text(name, "schedule")))
-        sim = Sim(schedule.config, schedule.workload, True, schedule.seq_mode)
+        sim = Sim(schedule.config, schedule.workload, True)
         checked += _check_state_texts(sim)
         for event in schedule.events:
             sim.apply(event)

@@ -14,6 +14,7 @@ report's JSON only when they build it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any, Collection, Iterable, Mapping
 
 from .core import Config, InstanceId, OrderingTuple, interferes, json_field, json_fields, json_value
@@ -130,7 +131,10 @@ class Observations:
             pending_count=len(emitted - delivered),
         )
 
+    @cached_property
     def correct_commits(self) -> list[dict[str, Any]]:
+        """The commits of correct replicas, computed once per object: every
+        checker reads them, and none changes an Observations."""
         byz = self.config.byzantine_ids
         return [c for c in self.commits if c["replica"] not in byz]
 
@@ -179,7 +183,7 @@ def check_agreement(obs: Observations) -> ViolationReport | None:
     instance. Every commit counts, including re-commits at higher owner
     numbers: a finalized fast-path commit is final."""
     by_instance: dict[InstanceId, dict[tuple, dict[str, Any]]] = {}
-    for c in obs.correct_commits():
+    for c in obs.correct_commits:
         entry = by_instance.setdefault(c["instance"], {})
         entry.setdefault((c["replica"], _protocol_key(c["tuple"])), c)
     witnesses: list[dict[str, Any]] = []
@@ -211,7 +215,7 @@ def check_agreement(obs: Observations) -> ViolationReport | None:
 def _unproposed(obs: Observations) -> list[dict[str, Any]]:
     """Correct replicas' commits of commands no client proposed."""
     proposed = {w.command.id for w in obs.workload}
-    return [c for c in obs.correct_commits() if c["tuple"].command.id not in proposed]
+    return [c for c in obs.correct_commits if c["tuple"].command.id not in proposed]
 
 
 def check_validity(obs: Observations) -> ViolationReport | None:
@@ -237,7 +241,7 @@ def _committed_commands(obs: Observations) -> dict[str, dict[str, Any]]:
     instances it committed at, the union of dep lists over its commits, and
     the first commit record."""
     out: dict[str, dict[str, Any]] = {}
-    for c in obs.correct_commits():
+    for c in obs.correct_commits:
         t = c["tuple"]
         entry = out.get(t.command.id)
         if entry is None:
@@ -359,7 +363,7 @@ def _tail_unmet(obs: Observations) -> str | None:
 def _stuck(obs: Observations) -> list[dict[str, Any]]:
     """Stuck witnesses: each correct client's workload command that no
     correct replica committed."""
-    committed_ids = {c["tuple"].command.id for c in obs.correct_commits()}
+    committed_ids = {c["tuple"].command.id for c in obs.correct_commits}
     return [
         {"stuck_command": w.command.id, "client": w.client}
         for w in obs.workload
@@ -453,11 +457,11 @@ def verify_report(report: ViolationReport, obs: Observations) -> bool:
     paired = prop in (DEPENDENCY_INCLUSION, EXECUTION_CONSISTENCY)
     committed = _committed_commands(obs) if paired else {}
     if prop == AGREEMENT:
-        supported = [_cite(c, _AGREEMENT_FIELDS) for c in obs.correct_commits()]
+        supported = [_cite(c, _AGREEMENT_FIELDS) for c in obs.correct_commits]
     elif prop == VALIDITY:
         supported = [_cite(c, _VALIDITY_FIELDS) for c in _unproposed(obs)]
     elif paired:
-        supported = [_pair_witness(c) for c in obs.correct_commits()]
+        supported = [_pair_witness(c) for c in obs.correct_commits]
         if prop == EXECUTION_CONSISTENCY:
             supported += [w for a, b in _interfering(committed) for w in _orders(obs, a, b)]
     elif prop == LIVENESS and not _tail_unmet(obs):
@@ -469,7 +473,7 @@ def verify_report(report: ViolationReport, obs: Observations) -> bool:
 
     if prop == AGREEMENT:
         # The checker's own rule, over the commits the witnesses cite.
-        cited = [c for c in obs.correct_commits() if _cite(c, _AGREEMENT_FIELDS) in witnesses]
+        cited = [c for c in obs.correct_commits if _cite(c, _AGREEMENT_FIELDS) in witnesses]
         shown = check_agreement(replace(obs, commits=cited)) is not None
     elif prop == LIVENESS:
         shown = any("stuck_command" in w for w in witnesses) and any(

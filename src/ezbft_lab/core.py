@@ -8,9 +8,10 @@ import hashlib
 import json
 from dataclasses import dataclass, fields, is_dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Iterable, Mapping, TypeVar
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, TypeVar
 
 _Class = TypeVar("_Class", bound=type)
+_Result = TypeVar("_Result")
 
 
 def typed(value: Any, kind: type, what: str) -> Any:
@@ -75,9 +76,12 @@ def cached_json(value: Any, to_json: Callable[[Any], Any]) -> str:
     return text
 
 
-@dataclass(frozen=True, order=True)
-class InstanceId:
-    """A slot in one replica's instance space, written ``owner.slot``."""
+class InstanceId(NamedTuple):
+    """A slot in one replica's instance space, written ``owner.slot``.
+
+    A named tuple, so its hash, ``hash((owner, slot))``, and its order are
+    the tuple's, computed in C: state keys and memo keys hash instance ids
+    more than any other value."""
 
     owner: str
     slot: int
@@ -91,6 +95,24 @@ class InstanceId:
         if not owner:
             raise ValueError(f"malformed instance id: {text!r}")
         return cls(owner, int(slot))
+
+
+def cached_call(value: Any, compute: Callable[..., _Result], *args: Any) -> _Result:
+    """``compute(value, *args)`` of a frozen value, computed once per object
+    and arguments and kept in its ``__dict__`` beside ``cached_hash``'s
+    hash, so ``==``, ``repr`` and ``dataclasses.replace`` ignore it. The
+    arguments must be hashable and name everything else ``compute`` reads:
+    a message checked under two configurations gets each one's verdict."""
+    cache = value.__dict__
+    results = cache.get("_results")
+    if results is None:
+        results = cache["_results"] = {}
+    key = (compute, *args)
+    try:
+        return results[key]
+    except KeyError:
+        result = results[key] = compute(value, *args)
+        return result
 
 
 @functools.cache
@@ -212,6 +234,12 @@ class Config:
         for rid in self.replica_ids:
             if "." in rid or "#" in rid:
                 raise ValueError(f"replica id {rid!r} may not contain '.' or '#'")
+        # Derived once, outside the fields: handlers ask for positions and
+        # the search for correct replicas at every step.
+        object.__setattr__(self, "_positions", {r: i for i, r in enumerate(self.replica_ids)})
+        object.__setattr__(
+            self, "_correct", tuple(r for r in self.replica_ids if r not in self.byzantine_ids)
+        )
 
     @property
     def quorum_slow(self) -> int:
@@ -222,7 +250,9 @@ class Config:
         return self.n - self.f
 
     def position(self, replica: str) -> int:
-        return self.replica_ids.index(replica)
+        """A replica's index in ``replica_ids``; ValueError for a non-replica."""
+        found = self._positions.get(replica)
+        return self.replica_ids.index(replica) if found is None else found
 
     def leader_at(self, owner_number: OwnerNumber) -> str:
         return self.replica_ids[owner_number % self.n]
@@ -232,7 +262,7 @@ class Config:
         return self.position(instance.owner)
 
     def correct_replicas(self) -> tuple[str, ...]:
-        return tuple(r for r in self.replica_ids if r not in self.byzantine_ids)
+        return self._correct
 
     to_json = json_fields
 

@@ -15,11 +15,13 @@ from .core import (
     InstanceId,
     OrderingTuple,
     OwnerNumber,
+    cached_call,
     cached_hash,
     cached_json,
     json_field,
     json_fields,
     json_object,
+    tuples_equal,
 )
 
 
@@ -86,6 +88,20 @@ class CommitCertificate:
         return self.replies[0].owner_number
 
     def vouched_tuple(self) -> OrderingTuple:
+        """The tuple the certificate vouches for, built once per object."""
+        return cached_call(self, CommitCertificate._vouched_tuple)
+
+    def validate(self, n: int, f: int) -> str | None:
+        """Return a rejection reason, or None when the certificate is
+        acceptable; computed once per object and ``(n, f)``.
+
+        Slow-path validation deliberately checks only what the replies
+        themselves support (distinct senders, one owner number, union/max
+        consistency); it cannot see which replies a client chose to omit.
+        """
+        return cached_call(self, CommitCertificate._validate, n, f)
+
+    def _vouched_tuple(self) -> OrderingTuple:
         if self.cert_kind == "fast":
             return self.replies[0].tuple
         deps: set[InstanceId] = set()
@@ -95,15 +111,7 @@ class CommitCertificate:
             seq = max(seq, r.tuple.seq)
         return OrderingTuple(self.replies[0].tuple.command, frozenset(deps), seq)
 
-    def validate(self, n: int, f: int) -> str | None:
-        """Return a rejection reason, or None when the certificate is acceptable.
-
-        Slow-path validation deliberately checks only what the replies
-        themselves support (distinct senders, one owner number, union/max
-        consistency); it cannot see which replies a client chose to omit.
-        """
-        from .core import tuples_equal
-
+    def _validate(self, n: int, f: int) -> str | None:
         if not self.replies:
             return "empty certificate"
         senders = {r.sender for r in self.replies}

@@ -18,6 +18,7 @@ from .core import (
     InstanceId,
     OrderingTuple,
     OwnerNumber,
+    cached_call,
     cached_hash,
     json_fields,
     tuple_sort_key,
@@ -247,6 +248,24 @@ def issue_new_owner(
     return outputs, effects
 
 
+def _proof_verdict(msg: NewOwner, cfg: Config) -> str | None:
+    """Why a NEW-OWNER's proof does not re-derive its tuple, or None when it
+    does. It reads only the message and the configuration, so
+    ``on_new_owner`` computes it once per message object and configuration."""
+    for vote in msg.proof:
+        if vote.instance != msg.instance or vote.owner_number != msg.owner_number:
+            return "vote mismatch"
+        if vote.certificate is not None and vote.certificate.validate(cfg.n, cfg.f) is not None:
+            return "bad certificate"
+    try:
+        selection = select_safe_tuple(msg.proof, cfg)
+    except InsufficientVotes:
+        return "insufficient votes"
+    if selection.outcome != SAFE or not tuples_equal(selection.tuple, msg.tuple):
+        return "selection mismatch"
+    return None
+
+
 def on_new_owner(
     state: ReplicaState, cfg: Config, msg: NewOwner, sender: str
 ) -> tuple[list[Output], list[Effect]]:
@@ -255,17 +274,9 @@ def on_new_owner(
         return [], [_drop(state.id, "new_owner_not_from_leader", msg.instance)]
     if msg.owner_number <= state.current_owner_number(cfg, msg.instance):
         return [], [_drop(state.id, "stale_new_owner", msg.instance)]
-    for vote in msg.proof:
-        if vote.instance != msg.instance or vote.owner_number != msg.owner_number:
-            return [], [_drop(state.id, "invalid_proof: vote mismatch", msg.instance)]
-        if vote.certificate is not None and vote.certificate.validate(cfg.n, cfg.f) is not None:
-            return [], [_drop(state.id, "invalid_proof: bad certificate", msg.instance)]
-    try:
-        selection = select_safe_tuple(msg.proof, cfg)
-    except InsufficientVotes:
-        return [], [_drop(state.id, "invalid_proof: insufficient votes", msg.instance)]
-    if selection.outcome != SAFE or not tuples_equal(selection.tuple, msg.tuple):
-        return [], [_drop(state.id, "invalid_proof: selection mismatch", msg.instance)]
+    reason = cached_call(msg, _proof_verdict, cfg)
+    if reason is not None:
+        return [], [_drop(state.id, f"invalid_proof: {reason}", msg.instance)]
 
     state.owner_numbers[msg.instance] = msg.owner_number
     prev = state.log.get(msg.instance)

@@ -144,7 +144,8 @@ class ReplicaState:
         return state_json(self, _REPLICA_FIELDS)
 
     def current_owner_number(self, cfg: Config, instance: InstanceId) -> OwnerNumber:
-        return self.owner_numbers.get(instance, cfg.default_owner_number(instance))
+        number = self.owner_numbers.get(instance)
+        return cfg.default_owner_number(instance) if number is None else number
 
     def next_vote(self, cfg: Config, instance: InstanceId) -> OwnerNumber | None:
         """The owner number this replica's next vote moves an instance

@@ -62,6 +62,8 @@ MEMO_CAP = 512
 # caller, and effect dicts.
 Outputs = Sequence[tuple[str, Any]]
 Effects = Sequence[dict[str, Any]]
+# A handler changes the node state it is given and returns what it produced.
+Handler = Callable[..., tuple[list[tuple[str, Any]], list[dict[str, Any]]]]
 
 
 class ScheduleError(Exception):
@@ -302,8 +304,9 @@ class TransitionMemo:
     interning consult the old generation after the young one and promote
     what they find into the young one, so what a search keeps using
     survives the start-over. Callers go through ``lookup`` and ``store``
-    and keep no reference to the tables. ``Sim._step`` looks a step up
-    once per event, and computes and stores it on a miss.
+    and keep no reference to the tables. ``Sim._step``, and ``Sim.settle``
+    for a tail delivery, look a step up once per event, and compute and
+    store it through ``Sim._compute`` on a miss.
     """
 
     def __init__(self) -> None:
@@ -404,8 +407,10 @@ class Sim:
     the node's outputs into the pending pool and is the reference; a
     ``drain`` is a loop of ``apply`` deliveries. ``settle`` keeps only
     effects and queues outputs on a FIFO; it is the search's fast path.
-    Every delivery goes through ``_receive``, and ``settle`` runs
-    owner-change triggers through the step ``apply`` uses. A Sim built
+    ``_receive`` holds the delivery rules. ``settle`` takes a correct
+    node's memo steps itself, sends every other delivery through
+    ``_receive`` and runs owner-change triggers through the step ``apply``
+    uses. A Sim built
     with a ``TransitionMemo`` (and every clone of it) keeps each correct
     node's state canonical and looks each of its handler steps up in the
     memo once; a hit installs the stored result state and returns the
@@ -530,7 +535,10 @@ class Sim:
         envelopes in emission order, then the triggers' outputs, each
         delivery's outputs queued behind. Each trigger is taken from
         ``triggers`` after the one before it was applied, and goes through
-        the step ``apply`` uses; each delivery goes through ``_receive``.
+        the step ``apply`` uses. A delivery that is a memo step is looked
+        up here, once, and computed by ``_compute``, the compute half
+        ``_step`` uses, on a miss; every other delivery goes through
+        ``_receive``.
 
         Only effects are kept: the commit and selection logs and
         ``seq_no``. No envelope id, event, record, counter or pool hash is
@@ -553,7 +561,19 @@ class Sim:
             if outputs:
                 fifo.append((replica, outputs))
             fired += 1
-        receive = self._receive
+        cfg, replicas, clients = self.cfg, self.replicas, self.clients
+        # Each correct node's state table, when there is a memo: a delivery
+        # to a node outside it, or of a payload its handler does not take,
+        # is no memo step.
+        memo = self._memo
+        tables: dict[str, dict[str, Any]] = {}
+        if memo is not None:
+            lookup = memo.lookup
+            faulty = cfg.byzantine_ids | cfg.faulty_client_ids
+            tables = {
+                node: nodes for nodes in (replicas, clients) for node in nodes if node not in faulty
+            }
+        receive, compute = self._receive, self._compute
         left = DRAIN_CAP
         while fifo:
             sender, batch = fifo.popleft()
@@ -561,7 +581,21 @@ class Sim:
                 if not left:
                     raise ScheduleError(f"drain did not quiesce within {DRAIN_CAP} deliveries")
                 left -= 1
-                outputs, _effects, logged = receive(None, sender, node, payload)
+                nodes = tables.get(node)
+                if nodes is replicas:
+                    handler = _honest_delivery
+                else:
+                    handler = None if nodes is None else _CLIENT_HANDLERS.get(type(payload))
+                if handler is None:
+                    outputs, _effects, logged = receive(None, sender, node, payload)
+                else:
+                    before, key = nodes[node], (sender, id(payload))
+                    step = lookup(before, key)
+                    if step is None:
+                        args = (cfg, None, sender, payload) if nodes is replicas else (cfg, payload)
+                        step = compute(before, key, payload, handler, *args)
+                    nodes[node] = step.after
+                    outputs, logged = step.outputs, step.logged
                 if outputs:
                     fifo.append((node, outputs))
                 if logged:
@@ -575,7 +609,7 @@ class Sim:
         node: str,
         key: tuple,
         keep: Any,
-        handler: Callable[..., tuple[list[tuple[str, Any]], list[dict[str, Any]]]],
+        handler: Handler,
         *args: Any,
     ) -> tuple[Outputs, Effects, Effects]:
         """Run correct ``node``'s ``handler(state, *args)`` and return its
@@ -593,12 +627,25 @@ class Sim:
         before = nodes[node]
         step = memo.lookup(before, key)
         if step is None:
-            after = before.clone()
-            outputs, effects = handler(after, *args)
-            step = memo.store(before, key, keep, after, outputs, effects)
+            step = self._compute(before, key, keep, handler, *args)
         nodes[node] = step.after
         # Its last three fields: outputs, effects and logged effects.
         return step[3:]
+
+    def _compute(
+        self,
+        before: Any,
+        key: tuple,
+        keep: Any,
+        handler: Handler,
+        *args: Any,
+    ) -> _Step:
+        """The compute half of a memo step that missed: run
+        ``handler(state, *args)`` on a copy of the canonical state
+        ``before`` and store the step under ``before`` and ``key``."""
+        after = before.clone()
+        outputs, effects = handler(after, *args)
+        return self._memo.store(before, key, keep, after, outputs, effects)
 
     def _receive(
         self, env_id: str | None, sender: str, node: str, payload: Any
@@ -614,15 +661,10 @@ class Sim:
             return [], [{"type": "inbox", "node": node, "from": sender, "kind": payload.kind}], ()
 
         if node in self.replicas:
-            try:
-                return self._step(
-                    node, (sender, id(payload)), payload,
-                    adversary_mod.honest_step, cfg, sender, payload,
-                )
-            except adversary_mod.BadChoice as exc:
-                raise ScheduleError(
-                    f"{_message_name(env_id, sender, node)} cannot be delivered: {exc}"
-                ) from exc
+            return self._step(
+                node, (sender, id(payload)), payload,
+                _honest_delivery, cfg, env_id, sender, payload,
+            )
 
         if node in self.clients:
             if node in cfg.faulty_client_ids:
@@ -632,11 +674,8 @@ class Sim:
                 elif isinstance(payload, CommitReply):
                     client_mod.record_commit_reply(state, payload)
                 return [], [{"type": "recorded", "node": node, "kind": payload.kind}], ()
-            if isinstance(payload, SpecReply):
-                handler = client_mod.on_spec_reply
-            elif isinstance(payload, CommitReply):
-                handler = client_mod.on_commit_reply
-            else:
+            handler = _CLIENT_HANDLERS.get(type(payload))
+            if handler is None:
                 return [], [{"type": "drop", "node": node, "reason": "unexpected_payload"}], ()
             return self._step(node, (sender, id(payload)), payload, handler, cfg, payload)
 
@@ -778,6 +817,27 @@ _LOGGED_TYPES = ("commit", "selection")
 def _logged(effects: Effects) -> tuple[dict[str, Any], ...]:
     """The commit and selection effects among an event's effects."""
     return tuple(eff for eff in effects if eff.get("type") in _LOGGED_TYPES)
+
+
+def _honest_delivery(
+    state: ReplicaState, cfg: Config, env_id: str | None, sender: str, payload: Any
+) -> tuple[list[tuple[str, Any]], list[dict[str, Any]]]:
+    """A correct replica's handler for a delivered payload. A payload no
+    honest handler takes is a ScheduleError naming the message."""
+    try:
+        return adversary_mod.honest_step(state, cfg, sender, payload)
+    except adversary_mod.BadChoice as exc:
+        raise ScheduleError(
+            f"{_message_name(env_id, sender, state.id)} cannot be delivered: {exc}"
+        ) from exc
+
+
+# The handler a correct client runs on each payload type it takes; it drops
+# any other payload.
+_CLIENT_HANDLERS: dict[type, Handler] = {
+    SpecReply: client_mod.on_spec_reply,
+    CommitReply: client_mod.on_commit_reply,
+}
 
 
 def _message_name(env_id: str | None, sender: str, node: str) -> str:

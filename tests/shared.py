@@ -1,6 +1,8 @@
-"""Configs, the two-command workload, the fixed searches and the
-reference fingerprint that several test modules share."""
+"""Configs, the two-command workload, the fixed searches, fresh copies
+of frozen values and the reference fingerprint that several test modules
+share."""
 
+import dataclasses
 from collections import Counter
 
 from ezbft_lab.client import ClientState
@@ -53,6 +55,22 @@ FIXED_SEARCHES = {
         (362, 324, 302, 426, 12680, ("execution_consistency",), False),
     ),
 }
+
+
+def fresh_copy(value):
+    """An equal copy rebuilt from scratch, so no part of it carries a
+    cached hash, cached JSON or cached verdict."""
+    if dataclasses.is_dataclass(value):
+        return type(value)(
+            **{f.name: fresh_copy(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        )
+    if isinstance(value, tuple):
+        items = [fresh_copy(item) for item in value]
+        # A named tuple, such as an instance id, stays one.
+        return type(value)(*items) if hasattr(value, "_fields") else tuple(items)
+    if isinstance(value, frozenset):
+        return frozenset(fresh_copy(item) for item in value)
+    return value
 
 
 def _multiset(items):

@@ -32,9 +32,10 @@ from ezbft_lab.checkers import (
     run_checkers,
     verify_report,
 )
-from ezbft_lab.core import Command, Config, InstanceId, OrderingTuple
+from ezbft_lab.core import Command, Config, InstanceId, OrderingTuple, cached_call
 from ezbft_lab.explorer import ExploreBounds, enabled_moves, extend_with_tail
-from ezbft_lab.messages import CommitCertificate
+from ezbft_lab.messages import CommitCertificate, NewOwner
+from ezbft_lab.owner_change import _proof_verdict
 from ezbft_lab.scenarios import SCENARIO_NAMES, build_happy_path, build_scenario, golden_text
 from ezbft_lab.simnet import (
     ADVERSARY,
@@ -48,7 +49,7 @@ from ezbft_lab.simnet import (
     run,
 )
 
-from shared import FAULT_CONFIGS, two_commands
+from shared import FAULT_CONFIGS, fresh_copy, two_commands
 
 
 def _tuple(cmd, deps, seq):
@@ -686,3 +687,66 @@ def test_report_json_round_trip():
     for report in scenario.reports:
         back = ViolationReport.from_json(report.to_json())
         assert back.to_json() == report.to_json()
+
+
+# A configuration no walk runs: messages of a 4-replica run checked under
+# it must get its verdicts, not the ones kept from their run.
+SEVEN = Config(7, 2, ("R", "L", "Q", "T", "A", "B", "C"))
+
+
+def test_cached_message_verdicts_match_fresh_copies(monkeypatch):
+    """Certificates keep ``validate`` and ``vouched_tuple`` and NEW-OWNER
+    messages their proof verdict, once per object and configuration. Over
+    every certificate and NEW-OWNER delivered in the goldens and in seeded
+    walks of the four fault configs, each kept result must equal the one an
+    equal copy without any kept result computes, under the run's config and
+    then under a 7-replica one."""
+    delivered = []
+    receive = Sim._receive
+
+    def recording(sim, env_id, sender, node, payload):
+        delivered.append((sim.cfg, payload))
+        return receive(sim, env_id, sender, node, payload)
+
+    monkeypatch.setattr(Sim, "_receive", recording)
+    for name in SCENARIO_NAMES:
+        build_scenario(name)
+    for config in FAULT_CONFIGS.values():
+        for seed in range(DIFFERENTIAL_WALKS):
+            _walk(config, random.Random(seed))
+
+    certificates, new_owners = {}, {}
+    for cfg, payload in delivered:
+        if isinstance(payload, NewOwner):
+            new_owners[id(payload)] = (cfg, payload)
+        votes = payload.proof if isinstance(payload, NewOwner) else (payload,)
+        for cert in (getattr(vote, "certificate", None) for vote in votes):
+            if cert is not None:
+                certificates[id(cert)] = (cfg, cert)
+    # The handlers kept verdicts on what they checked.
+    assert any("_results" in cert.__dict__ for _cfg, cert in certificates.values())
+    assert any("_results" in msg.__dict__ for _cfg, msg in new_owners.values())
+
+    for cfg, cert in certificates.values():
+        for n, f in ((cfg.n, cfg.f), (SEVEN.n, SEVEN.f)):
+            assert cert.validate(n, f) == fresh_copy(cert).validate(n, f), (n, f, cert)
+        assert cert.vouched_tuple() == fresh_copy(cert).vouched_tuple()
+    for cfg, msg in new_owners.values():
+        for config in (cfg, SEVEN):
+            kept = cached_call(msg, _proof_verdict, config)
+            assert kept == _proof_verdict(fresh_copy(msg), config), (config.n, msg)
+    # Messages accepted in their run are refused under SEVEN, so a kept
+    # result that ignored the configuration would show above.
+    assert None in {cert.validate(cfg.n, cfg.f) for cfg, cert in certificates.values()}
+    assert None not in {cert.validate(SEVEN.n, SEVEN.f) for _cfg, cert in certificates.values()}
+    assert None in {cached_call(msg, _proof_verdict, cfg) for cfg, msg in new_owners.values()}
+    assert None not in {cached_call(msg, _proof_verdict, SEVEN) for _cfg, msg in new_owners.values()}
+
+
+def test_correct_commits_are_computed_once_per_observations(cmd_a):
+    cfg = Config(4, 1, ("R", "L", "Q", "T"), byzantine_ids=frozenset({"T"}))
+    obs = _obs(cfg, (), [_commit("R", "R.0", cmd_a, [], 1), _commit("T", "R.0", cmd_a, [], 2)])
+    assert obs.correct_commits is obs.correct_commits
+    assert [c["replica"] for c in obs.correct_commits] == ["R"]
+    fewer = dataclasses.replace(obs, commits=obs.commits[1:])
+    assert fewer.correct_commits == []

@@ -18,6 +18,7 @@ from ezbft_lab.core import (
     interferes,
     json_fields,
     json_object,
+    json_value,
     tuple_sort_key,
     tuples_equal,
 )
@@ -32,6 +33,36 @@ def test_instance_id_string_round_trip():
 def test_instance_id_sorts_by_owner_then_numeric_slot():
     ids = [InstanceId("T", 0), InstanceId("R", 10), InstanceId("R", 2)]
     assert sorted(ids) == [InstanceId("R", 2), InstanceId("R", 10), InstanceId("T", 0)]
+
+
+def test_instance_id_is_a_named_tuple_hashed_as_its_fields(cmd_a):
+    """State and memo keys hash instance ids; the named tuple's hash is
+    the one the frozen dataclass had, so every key stays bit-identical."""
+    inst = InstanceId("R", 3)
+    assert isinstance(inst, tuple) and InstanceId._fields == ("owner", "slot")
+    assert hash(inst) == hash(("R", 3))
+    assert repr(inst) == "InstanceId(owner='R', slot=3)"
+    # json_value tests instance ids before the generic tuple branch, and
+    # writes dep sets as sorted lists of their text.
+    assert json_value(inst) == "R.3"
+    assert json_value((inst, [InstanceId("L", 0)])) == ["R.3", ["L.0"]]
+    deps = frozenset({InstanceId("R", 10), InstanceId("L", 4), InstanceId("R", 2)})
+    assert json_value(deps) == ["L.4", "R.2", "R.10"]
+    assert OrderingTuple(cmd_a, deps, 2).to_json()["deps"] == ["L.4", "R.2", "R.10"]
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("R", ValueError, "malformed instance id: 'R'"),
+        (".3", ValueError, "malformed instance id: '.3'"),
+        ("R.x", ValueError, "invalid literal"),
+        (3, TypeError, "an instance id must be str, got int"),
+    ],
+)
+def test_instance_id_parse_refuses_malformed_text(text, error, message):
+    with pytest.raises(error, match=message):
+        InstanceId.parse(text)
 
 
 def test_command_json_round_trip(cmd_a):
@@ -108,6 +139,16 @@ def test_default_owner_number_is_owner_position(cfg):
 
 def test_correct_replicas_excludes_byzantine(byz_cfg):
     assert byz_cfg.correct_replicas() == ("R", "L", "Q")
+
+
+def test_config_lookups_are_built_once_and_are_not_fields(byz_cfg):
+    assert byz_cfg.correct_replicas() is byz_cfg.correct_replicas()
+    assert [byz_cfg.position(r) for r in byz_cfg.replica_ids] == [0, 1, 2, 3]
+    with pytest.raises(ValueError):
+        byz_cfg.position("X")
+    copy = Config.from_json(byz_cfg.to_json())
+    assert copy == byz_cfg and hash(copy) == hash(byz_cfg) and repr(copy) == repr(byz_cfg)
+    assert list(byz_cfg.to_json()) == ["n", "f", "replica_ids", "byzantine_ids", "faulty_client_ids"]
 
 
 def test_interferes_same_key_different_command(cmd_a, cmd_b):

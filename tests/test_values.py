@@ -59,7 +59,7 @@ from ezbft_lab.simnet import (
     WorkItem,
 )
 
-from shared import BYZ, CORRECT, FAULT_CONFIGS, reference_fingerprint
+from shared import BYZ, CORRECT, FAULT_CONFIGS, fresh_copy, reference_fingerprint
 
 ESCAPED = Config(4, 1, ('R"', "Lé", "Q\\", "T☃"))
 CACHED_HASH = (
@@ -101,20 +101,6 @@ WALK_CASES = [
 ]
 
 
-def _fresh(value):
-    """An equal copy rebuilt from scratch, so no part of it carries a
-    cached hash or cached JSON."""
-    if dataclasses.is_dataclass(value):
-        return type(value)(
-            **{f.name: _fresh(getattr(value, f.name)) for f in dataclasses.fields(value)}
-        )
-    if isinstance(value, tuple):
-        return tuple(_fresh(item) for item in value)
-    if isinstance(value, frozenset):
-        return frozenset(_fresh(item) for item in value)
-    return value
-
-
 def _reachable(value, out):
     """Every cached-hash value inside ``value``, by identity."""
     if isinstance(value, CACHED_HASH):
@@ -130,7 +116,7 @@ def _reachable(value, out):
 def _check_values(sim, seen_types):
     for env in sim.pending():
         token = env[1:4]
-        fresh = (env.sender, env.recipient, _fresh(env.payload))
+        fresh = (env.sender, env.recipient, fresh_copy(env.payload))
         assert token == fresh and hash(token) == hash(fresh)
     values = {}
     _reachable(tuple(env.payload for env in sim.pending()), values)
@@ -138,7 +124,7 @@ def _check_values(sim, seen_types):
         _reachable(state.value(), values)
     for value in values.values():
         first = hash(value)
-        copy = _fresh(value)
+        copy = fresh_copy(value)
         fields = tuple(getattr(value, f.name) for f in dataclasses.fields(value))
         assert copy == value
         # A frozen dataclass hashes as the tuple of its fields.

@@ -62,7 +62,7 @@ class ViolationReport:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Observations:
     """Everything the checkers need, extracted once from a run."""
 
@@ -134,7 +134,8 @@ class Observations:
     @cached_property
     def correct_commits(self) -> list[dict[str, Any]]:
         """The commits of correct replicas, computed once per object: every
-        checker reads them, and none changes an Observations."""
+        checker reads them. The dataclass is frozen, so ``commits`` and
+        ``config`` cannot be rebound under the kept list."""
         byz = self.config.byzantine_ids
         return [c for c in self.commits if c["replica"] not in byz]
 

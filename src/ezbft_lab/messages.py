@@ -88,8 +88,14 @@ class CommitCertificate:
         return self.replies[0].owner_number
 
     def vouched_tuple(self) -> OrderingTuple:
-        """The tuple the certificate vouches for, built once per object."""
-        return cached_call(self, CommitCertificate._vouched_tuple)
+        if self.cert_kind == "fast":
+            return self.replies[0].tuple
+        deps: set[InstanceId] = set()
+        seq = 0
+        for r in self.replies:
+            deps |= r.tuple.deps
+            seq = max(seq, r.tuple.seq)
+        return OrderingTuple(self.replies[0].tuple.command, frozenset(deps), seq)
 
     def validate(self, n: int, f: int) -> str | None:
         """Return a rejection reason, or None when the certificate is
@@ -100,16 +106,6 @@ class CommitCertificate:
         consistency); it cannot see which replies a client chose to omit.
         """
         return cached_call(self, CommitCertificate._validate, n, f)
-
-    def _vouched_tuple(self) -> OrderingTuple:
-        if self.cert_kind == "fast":
-            return self.replies[0].tuple
-        deps: set[InstanceId] = set()
-        seq = 0
-        for r in self.replies:
-            deps |= r.tuple.deps
-            seq = max(seq, r.tuple.seq)
-        return OrderingTuple(self.replies[0].tuple.command, frozenset(deps), seq)
 
     def _validate(self, n: int, f: int) -> str | None:
         if not self.replies:

@@ -407,15 +407,15 @@ class Sim:
     the node's outputs into the pending pool and is the reference; a
     ``drain`` is a loop of ``apply`` deliveries. ``settle`` keeps only
     effects and queues outputs on a FIFO; it is the search's fast path.
-    ``_receive`` holds the delivery rules. ``settle`` takes a correct
-    node's memo steps itself, sends every other delivery through
+    ``_route`` decides which deliveries are a correct node's handler step
+    and ``_receive`` holds the other delivery rules. ``settle`` looks a
+    routed step up in the memo itself, sends every other delivery through
     ``_receive`` and runs owner-change triggers through the step ``apply``
-    uses. A Sim built
-    with a ``TransitionMemo`` (and every clone of it) keeps each correct
-    node's state canonical and looks each of its handler steps up in the
-    memo once; a hit installs the stored result state and returns the
-    stored outputs and effects, so envelope ids, hops, logs and effects are
-    those of a direct run.
+    uses. A Sim built with a ``TransitionMemo`` (and every clone of it)
+    keeps each correct node's state canonical and looks each of its
+    handler steps up in the memo once; a hit installs the stored result
+    state and returns the stored outputs and effects, so envelope ids,
+    hops, logs and effects are those of a direct run.
     """
 
     def __init__(
@@ -535,10 +535,10 @@ class Sim:
         envelopes in emission order, then the triggers' outputs, each
         delivery's outputs queued behind. Each trigger is taken from
         ``triggers`` after the one before it was applied, and goes through
-        the step ``apply`` uses. A delivery that is a memo step is looked
-        up here, once, and computed by ``_compute``, the compute half
-        ``_step`` uses, on a miss; every other delivery goes through
-        ``_receive``.
+        the step ``apply`` uses. With a memo, a delivery that ``_route``
+        makes a handler step is looked up here, once, and computed by
+        ``_compute``, the compute half ``_step`` uses, on a miss; every
+        other delivery goes through ``_receive``.
 
         Only effects are kept: the commit and selection logs and
         ``seq_no``. No envelope id, event, record, counter or pool hash is
@@ -561,19 +561,10 @@ class Sim:
             if outputs:
                 fifo.append((replica, outputs))
             fired += 1
-        cfg, replicas, clients = self.cfg, self.replicas, self.clients
-        # Each correct node's state table, when there is a memo: a delivery
-        # to a node outside it, or of a payload its handler does not take,
-        # is no memo step.
         memo = self._memo
-        tables: dict[str, dict[str, Any]] = {}
         if memo is not None:
             lookup = memo.lookup
-            faulty = cfg.byzantine_ids | cfg.faulty_client_ids
-            tables = {
-                node: nodes for nodes in (replicas, clients) for node in nodes if node not in faulty
-            }
-        receive, compute = self._receive, self._compute
+        route, receive, compute = self._route, self._receive, self._compute
         left = DRAIN_CAP
         while fifo:
             sender, batch = fifo.popleft()
@@ -581,18 +572,14 @@ class Sim:
                 if not left:
                     raise ScheduleError(f"drain did not quiesce within {DRAIN_CAP} deliveries")
                 left -= 1
-                nodes = tables.get(node)
-                if nodes is replicas:
-                    handler = _honest_delivery
-                else:
-                    handler = None if nodes is None else _CLIENT_HANDLERS.get(type(payload))
-                if handler is None:
+                step_of = None if memo is None else route(None, sender, node, payload)
+                if step_of is None:
                     outputs, _effects, logged = receive(None, sender, node, payload)
                 else:
+                    nodes, handler, args = step_of
                     before, key = nodes[node], (sender, id(payload))
                     step = lookup(before, key)
                     if step is None:
-                        args = (cfg, None, sender, payload) if nodes is replicas else (cfg, payload)
                         step = compute(before, key, payload, handler, *args)
                     nodes[node] = step.after
                     outputs, logged = step.outputs, step.logged
@@ -647,37 +634,52 @@ class Sim:
         outputs, effects = handler(after, *args)
         return self._memo.store(before, key, keep, after, outputs, effects)
 
+    def _route(
+        self, env_id: str | None, sender: str, node: str, payload: Any
+    ) -> tuple[dict[str, Any], Handler, tuple] | None:
+        """The handler step a delivery is, as the recipient's state table,
+        its handler and the handler's arguments after the state; None when
+        the delivery is none: a byzantine replica's inbox, a faulty
+        client's record, a payload a correct client does not take or an
+        unknown recipient. ``_receive`` and ``settle`` both route here."""
+        cfg = self.cfg
+        if node in self.replicas:
+            if node in cfg.byzantine_ids:
+                return None
+            return self.replicas, _honest_delivery, (cfg, env_id, sender, payload)
+        if node in self.clients and node not in cfg.faulty_client_ids:
+            handler = _CLIENT_HANDLERS.get(type(payload))
+            if handler is not None:
+                return self.clients, handler, (cfg, payload)
+        return None
+
     def _receive(
         self, env_id: str | None, sender: str, node: str, payload: Any
     ) -> tuple[Outputs, Effects, Effects]:
         """Hand a message taken from the pool to its recipient and return
         the recipient's outputs, effects and effects to log, emitting
-        nothing; every delivery rule lives here. ``env_id`` only names the
-        message in errors; ``settle`` delivers without one."""
-        cfg = self.cfg
-        if node in cfg.byzantine_ids:
+        nothing. A handler step (``_route``) goes through ``_step``; the
+        other delivery rules live here. ``env_id`` only names the message
+        in errors; ``settle`` delivers without one."""
+        step_of = self._route(env_id, sender, node, payload)
+        if step_of is not None:
+            _nodes, handler, args = step_of
+            return self._step(node, (sender, id(payload)), payload, handler, *args)
+
+        if node in self.cfg.byzantine_ids:
             state = self._own(node)
             state.inbox += ((sender, payload),)
             return [], [{"type": "inbox", "node": node, "from": sender, "kind": payload.kind}], ()
 
-        if node in self.replicas:
-            return self._step(
-                node, (sender, id(payload)), payload,
-                _honest_delivery, cfg, env_id, sender, payload,
-            )
-
         if node in self.clients:
-            if node in cfg.faulty_client_ids:
+            if node in self.cfg.faulty_client_ids:
                 state = self._own(node)
                 if isinstance(payload, SpecReply):
                     client_mod.record_reply(state, payload)
                 elif isinstance(payload, CommitReply):
                     client_mod.record_commit_reply(state, payload)
                 return [], [{"type": "recorded", "node": node, "kind": payload.kind}], ()
-            handler = _CLIENT_HANDLERS.get(type(payload))
-            if handler is None:
-                return [], [{"type": "drop", "node": node, "reason": "unexpected_payload"}], ()
-            return self._step(node, (sender, id(payload)), payload, handler, cfg, payload)
+            return [], [{"type": "drop", "node": node, "reason": "unexpected_payload"}], ()
 
         raise ScheduleError(
             f"{_message_name(env_id, sender, node)} addressed to unknown node {node!r}"

@@ -695,8 +695,8 @@ SEVEN = Config(7, 2, ("R", "L", "Q", "T", "A", "B", "C"))
 
 
 def test_cached_message_verdicts_match_fresh_copies(monkeypatch):
-    """Certificates keep ``validate`` and ``vouched_tuple`` and NEW-OWNER
-    messages their proof verdict, once per object and configuration. Over
+    """Certificates keep their ``validate`` verdict and NEW-OWNER messages
+    their proof verdict, once per object and configuration. Over
     every certificate and NEW-OWNER delivered in the goldens and in seeded
     walks of the four fault configs, each kept result must equal the one an
     equal copy without any kept result computes, under the run's config and
@@ -730,7 +730,6 @@ def test_cached_message_verdicts_match_fresh_copies(monkeypatch):
     for cfg, cert in certificates.values():
         for n, f in ((cfg.n, cfg.f), (SEVEN.n, SEVEN.f)):
             assert cert.validate(n, f) == fresh_copy(cert).validate(n, f), (n, f, cert)
-        assert cert.vouched_tuple() == fresh_copy(cert).vouched_tuple()
     for cfg, msg in new_owners.values():
         for config in (cfg, SEVEN):
             kept = cached_call(msg, _proof_verdict, config)
@@ -748,5 +747,8 @@ def test_correct_commits_are_computed_once_per_observations(cmd_a):
     obs = _obs(cfg, (), [_commit("R", "R.0", cmd_a, [], 1), _commit("T", "R.0", cmd_a, [], 2)])
     assert obs.correct_commits is obs.correct_commits
     assert [c["replica"] for c in obs.correct_commits] == ["R"]
+    # The kept list stays true because its inputs cannot be rebound.
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        obs.commits = []
     fewer = dataclasses.replace(obs, commits=obs.commits[1:])
     assert fewer.correct_commits == []
